@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import construct, clustering, sequences, spanning, verify
-from .errors import BadParameterError, DomainViolationError, FractreeError, SizeCapError
+from .errors import DomainViolationError, FractreeError, OverflowCapError, SizeCapError
 from .exact import factored_expand
 from .graph import blocks, degree_histogram, to_dot, to_edgelist_text, to_json_dict
 from .params import Family, FractalParams
@@ -106,8 +106,11 @@ def _resolve_params(args, need_stage: bool, default_stage=None) -> FractalParams
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -288,8 +291,7 @@ def _cmd_verify(args) -> int:
     report = verify.verify_suite("quick" if args.quick else "full")
     sys.stdout.write(report.to_table_text())
     if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(report.to_json_text())
+        _emit(report.to_json_text(), args.json_path)
     return report.exit_code
 
 
@@ -310,13 +312,10 @@ def main(argv=None) -> int:
         if args.command == "surface":
             return _cmd_surface(args)
         return _cmd_verify(args)
-    except (_UsageError, BadParameterError, DomainViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SizeCapError as exc:
+    except (SizeCapError, OverflowCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except FractreeError as exc:
+    except (_UsageError, FractreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

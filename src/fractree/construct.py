@@ -26,9 +26,19 @@ MAX_VERTICES_ENV = "FRACTREE_MAX_VERTICES"
 
 def _max_vertices(cap=None) -> int:
     if cap is not None:
-        return cap
-    env = os.environ.get(MAX_VERTICES_ENV)
-    return int(env) if env else DEFAULT_MAX_VERTICES
+        setting, value = "max_vertices", cap
+    else:
+        value = os.environ.get(MAX_VERTICES_ENV)
+        if not value:
+            return DEFAULT_MAX_VERTICES
+        setting = MAX_VERTICES_ENV
+    try:
+        parsed = int(value)
+    except ValueError:
+        parsed = 0
+    if parsed < 1:
+        raise BadParameterError(f"{setting} must be a positive integer, got {value!r}")
+    return parsed
 
 
 def base(family: Family, n: int) -> Graph:

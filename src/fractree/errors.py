@@ -6,7 +6,7 @@ class FractreeError(Exception):
 
 
 class BadParameterError(FractreeError):
-    """A graph-family parameter is out of its legal range."""
+    """A graph-family parameter or a setting is out of its legal range."""
 
 
 class OverflowCapError(FractreeError):

@@ -1,16 +1,25 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "fractree.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
+
+
+def assert_clean_error(r, code):
+    """Exit ``code`` with a one-line ``error:`` message and no traceback."""
+    assert r.returncode == code
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
 
 
 class TestGenerate:
@@ -54,13 +63,24 @@ class TestGenerate:
         assert r.returncode == 3
 
     def test_cap_env_override(self, tmp_path):
-        import os
         env = dict(os.environ, FRACTREE_MAX_VERTICES="10")
         r = subprocess.run(
             [sys.executable, "-m", "fractree.cli", "generate", "cycle", "3", "2", "1"],
             capture_output=True, text=True, env=env,
         )
         assert r.returncode == 3
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_cap_env_exits_2(self, value):
+        env = dict(os.environ, FRACTREE_MAX_VERTICES=value)
+        r = run_cli("generate", "cycle", "3", "2", "1", env=env)
+        assert_clean_error(r, 2)
+        assert "FRACTREE_MAX_VERTICES" in r.stderr
+
+    def test_unwritable_out_exits_2(self, tmp_path):
+        missing = str(tmp_path / "missing" / "x")
+        assert_clean_error(run_cli("generate", "cycle", "3", "2", "1", "--out", missing), 2)
+        assert_clean_error(run_cli("verify", "--quick", "--json", missing), 2)
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "g.edges"
@@ -106,6 +126,18 @@ class TestCount:
         r = run_cli("count", "cycle", "3", "2", "4", "--method", "formula")
         assert r.returncode == 0
         assert "3^286" in r.stdout
+
+    def test_matrix_tree_over_cap_exits_3(self):
+        # stage-7 cycle graph has 75,036 vertices, over the 25,000 oracle cap
+        r = run_cli("count", "cycle", "3", "2", "7", "--method", "matrix-tree")
+        assert_clean_error(r, 3)
+        assert "cap of 25000" in r.stderr
+        assert r.stdout == ""
+
+    def test_expansion_over_bit_cap_exits_3(self):
+        r = run_cli("count", "cycle", "3", "2", "30")
+        assert_clean_error(r, 3)
+        assert r.stdout == ""
 
 
 class TestInvariants:

@@ -227,6 +227,16 @@ class TestBuild:
         monkeypatch.setenv("FRACTREE_MAX_VERTICES", "100")
         assert build(FractalParams(Family.CYCLE, 3, 2, 1)).vertex_count == 12
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+    def test_bad_cap_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("FRACTREE_MAX_VERTICES", value)
+        with pytest.raises(BadParameterError):
+            build(FractalParams(Family.CYCLE, 3, 2, 1))
+
+    def test_non_positive_cap_rejected(self):
+        with pytest.raises(BadParameterError):
+            build(FractalParams(Family.CYCLE, 3, 2, 1), max_vertices=0)
+
 
 class TestCensus:
     def test_cycle_stage_two(self):

@@ -10,6 +10,8 @@ from fractree.exact import FactoredCount, bareiss_determinant, factored_expand
 from fractree.graph import Graph, VertexRole, laplacian_minor
 from fractree.params import Family, FractalParams
 from fractree.spanning import (
+    DEFAULT_ORACLE_MAX_VERTICES,
+    _reduced_laplacian_determinant,
     fibonacci_number,
     lucas_number,
     tau_blocks,
@@ -84,6 +86,19 @@ class TestTauOracle:
         with pytest.raises(SizeCapError):
             tau_oracle(base(Family.CYCLE, 30), max_vertices=10)
 
+    def test_default_cap_boundary(self):
+        # a path is a tree: one spanning tree at the cap, refused one above it
+        assert tau_oracle(_path(DEFAULT_ORACLE_MAX_VERTICES)) == 1
+        with pytest.raises(SizeCapError):
+            tau_oracle(_path(DEFAULT_ORACLE_MAX_VERTICES + 1))
+
+    def test_cap_checked_before_connectivity(self):
+        g = Graph()
+        for _ in range(11):
+            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
+        with pytest.raises(SizeCapError):
+            tau_oracle(g.freeze(), max_vertices=10)
+
     def test_omitted_vertex_independence(self, rng):
         for _ in range(20):
             g = random_connected_graph(rng, max_n=7)
@@ -92,6 +107,53 @@ class TestTauOracle:
             }
             assert len(dets) == 1
             assert dets.pop() >= 1
+
+
+def _path(n: int) -> Graph:
+    g = Graph()
+    for _ in range(n):
+        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
+    for v in range(1, n):
+        g.add_edge(v - 1, v)
+    return g.freeze()
+
+
+def _sparse_minor_determinant(g: Graph, omit: int) -> int:
+    """The sparse kernel on g's adjacency, listed with ``omit`` first."""
+    order = [omit] + [v for v in range(g.vertex_count) if v != omit]
+    return _reduced_laplacian_determinant({v: g.neighbors(v) for v in order})
+
+
+class TestSparseKernel:
+    """The sparse kernel against the dense Bareiss reference."""
+
+    def test_matches_dense_on_random_graphs(self, rng):
+        for _ in range(40):
+            g = random_connected_graph(rng, max_n=12)
+            omit = rng.randrange(g.vertex_count)
+            dense = bareiss_determinant(laplacian_minor(g, omit))
+            assert _sparse_minor_determinant(g, omit) == dense
+
+    @pytest.mark.parametrize(
+        "family,n,m,i",
+        [
+            (Family.CYCLE, 3, 2, 2),
+            (Family.CYCLE, 3, 2, 3),
+            (Family.CYCLE, 4, 3, 2),
+            (Family.WHEEL, 3, 2, 2),
+            (Family.WHEEL, 4, 2, 2),
+        ],
+    )
+    def test_matches_dense_on_family_graphs(self, family, n, m, i):
+        g = build(FractalParams(family, n, m, i))
+        assert g.vertex_count <= 300
+        dense = bareiss_determinant(laplacian_minor(g, 0))
+        assert _sparse_minor_determinant(g, 0) == dense
+
+    def test_singular_minor_raises(self):
+        # two components: the minor is singular, so a zero pivot appears
+        with pytest.raises(ArithmeticError):
+            _reduced_laplacian_determinant({0: [1], 1: [0], 2: [3], 3: [2]})
 
 
 class TestTauBlocks:
@@ -234,8 +296,9 @@ class TestThreeWayAgreement:
         assert closed == oracle == product
 
     def test_full_grid(self):
-        # the whole declared equivalence range; largest instance is the
-        # 751-vertex stage-2 wheel (about 20 s of exact elimination)
+        # the whole declared equivalence range plus every stage-3 wheel and
+        # two graphs of about 10^4 vertices or more; the largest is the
+        # 17,439-vertex cycle-3-2-6 (under 1 s of sparse elimination)
         grid = [
             (family, n, m, i)
             for family in Family
@@ -243,7 +306,12 @@ class TestThreeWayAgreement:
             for m in (2, 3)
             for i in (0, 1, 2)
         ]
-        grid.append((Family.CYCLE, 3, 2, 3))
+        grid += [(Family.WHEEL, n, m, 3) for n in (3, 4, 5, 6) for m in (2, 3)]
+        grid += [
+            (Family.CYCLE, 3, 2, 3),
+            (Family.CYCLE, 3, 2, 6),
+            (Family.WHEEL, 4, 2, 4),
+        ]
         for family, n, m, i in grid:
             p = FractalParams(family, n, m, i)
             g = build(p)
