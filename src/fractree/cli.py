@@ -142,6 +142,10 @@ def _cmd_count(args) -> int:
     results = {}
     if args.method in ("formula", "all"):
         results["formula"] = spanning.tau_closed(params)
+    if args.method in ("matrix-tree", "all"):
+        # refuse before building: the size recurrence gives the vertex count
+        vertex_count = sequences.size_sequences(params, params.i + 1).u[params.i + 1]
+        spanning.check_oracle_cap(vertex_count)
     if args.method in ("matrix-tree", "blocks", "all"):
         g = construct.build(params)
         if args.method in ("matrix-tree", "all"):

@@ -19,16 +19,30 @@ from .sequences import size_sequences
 
 def local_clustering(g: Graph, v: int) -> Fraction:
     """Fraction of neighbor pairs of v that are adjacent; 0 for degree <= 1."""
-    nb = g.neighbors(v)
-    k = len(nb)
-    if k <= 1:
-        return Fraction(0)
-    links = 0
-    for a in range(k):
-        for b in range(a + 1, k):
-            if g.has_edge(nb[a], nb[b]):
-                links += 1
-    return Fraction(2 * links, k * (k - 1))
+    k = g.degree(v)
+    (links,) = _link_counts(g.adjacency, (v,))
+    return _coefficient(links, k)
+
+
+def _link_counts(adj, vertices):
+    """Yield the number of edges among the neighbours of each vertex in turn."""
+    for v in vertices:
+        nb = adj[v]
+        if len(nb) == 2:  # most vertices: path interiors and fresh rims
+            a, b = nb
+            yield 1 if b in adj[a] else 0
+        elif len(nb) < 2:
+            yield 0
+        else:
+            members = set(nb)
+            links = 0
+            for w in nb:
+                links += len(members.intersection(adj[w]))
+            yield links // 2
+
+
+def _coefficient(links: int, k: int) -> Fraction:
+    return Fraction(2 * links, k * (k - 1)) if k > 1 else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -54,8 +68,16 @@ class ClusteringReport:
 
 
 def average_clustering(g: Graph) -> ClusteringReport:
-    """Exact average of the local coefficients over all vertices."""
-    counts = Counter(local_clustering(g, v) for v in range(g.vertex_count))
+    """Exact average of the local coefficients over all vertices.
+
+    Vertices are tallied by (links, degree) first, so one ``Fraction`` is
+    made per distinct pair rather than per vertex.
+    """
+    adj = g.adjacency
+    pairs = Counter(zip(_link_counts(adj, range(len(adj))), map(len, adj)))
+    counts = Counter()
+    for (links, k), c in pairs.items():
+        counts[_coefficient(links, k)] += c
     total = sum((c * k for c, k in counts.items()), Fraction(0))
     avg = total / g.vertex_count if g.vertex_count else Fraction(0)
     return ClusteringReport(dict(counts), avg, g.vertex_count)

@@ -9,15 +9,21 @@ host gains degree 3; a cycle attaches by one cycle vertex (host gains 2).
 Vertex ids are assigned in a fixed documented order (path interiors in
 ascending edge order, then fresh copies in ascending host order, rim
 before hub) so that repeated builds are byte-identical.
+
+:func:`build` makes each round in one pass straight into the frozen
+layout of :class:`~fractree.graph.Graph`.  :func:`ept` and :func:`glv`
+are the two growth operations written out one edge at a time; they are
+the reference that the one-pass build must reproduce id for id.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 
 from .errors import BadParameterError, InvalidVertexSetError, SizeCapError
-from .graph import Graph, VertexRole
+from .graph import ROLE_CODE, Graph, VertexRole
 from .params import Family, FractalParams
 
 DEFAULT_MAX_VERTICES = 10**6
@@ -127,15 +133,79 @@ def build(params: FractalParams, max_vertices: int | None = None) -> Graph:
         raise SizeCapError(
             f"stage {params.i} graph would have {seq.u[params.i + 1]} vertices, cap is {cap}"
         )
-    g = base(params.family, params.n)
-    for stage in range(1, params.i + 1):
-        pre = list(range(g.vertex_count))
-        g = ept(g, params.m, birth=stage)
-        g = glv(g, params.family, params.n, pre, birth=stage)
-    g.params = params
+    g = _build_staged(params)
     assert g.vertex_count == seq.u[params.i + 1]
     assert g.edge_count == seq.e[params.i + 1]
     return g
+
+
+_PATH_INTERIOR = ROLE_CODE[VertexRole.PATH_INTERIOR]
+_FRESH_RIM = ROLE_CODE[VertexRole.FRESH_RIM]
+_FRESH_HUB = ROLE_CODE[VertexRole.FRESH_HUB]
+
+
+def _build_staged(params: FractalParams) -> Graph:
+    """Every round of ``ept`` then ``glv`` as one pass over the round's edges.
+
+    An old vertex keeps its id but none of its neighbours: each of its
+    edges becomes a path and it hosts a fresh copy.  Walking the edges in
+    ascending (u, v) order hands out the interior ids in ascending order,
+    so every old vertex's new neighbours come out sorted: first its path
+    ends, then its copy's two rim neighbours (and hub).  New vertices get
+    their sorted neighbour tuples as they are numbered.
+    """
+    n, m = params.n, params.m
+    wheel = params.family is Family.WHEEL
+    g = base(params.family, n)
+    roles = bytearray(ROLE_CODE[info.role] for info in g.vertices)
+    births = array("i", (info.birth for info in g.vertices))
+    adj = g.adjacency
+    edge_count = g.edge_count
+    copy_roles = bytes([_FRESH_RIM]) * (n - 1) + (bytes([_FRESH_HUB]) if wheel else b"")
+    for stage in range(1, params.i + 1):
+        old = len(adj)
+        grown = [[] for _ in range(old)]
+        fresh = []  # neighbour tuples of the vertices numbered from `old` on
+        nxt = old
+        for u, nb in enumerate(adj):
+            ends = grown[u]
+            for v in nb:
+                if v > u:
+                    # path u - nxt - ... - last - v
+                    last = nxt + m - 2
+                    ends.append(nxt)
+                    grown[v].append(last)
+                    if nxt == last:
+                        fresh.append((u, v))
+                    else:
+                        fresh.append((u, nxt + 1))
+                        fresh.extend([(w - 1, w + 1) for w in range(nxt + 1, last)])
+                        fresh.append((v, last - 1))
+                    nxt = last + 1
+        roles += bytes([_PATH_INTERIOR]) * (nxt - old)
+        for host, ends in enumerate(grown):
+            # rim nxt..last in cycle order from the host, then the hub
+            last = nxt + n - 2
+            if wheel:
+                hub = last + 1
+                ends += (nxt, last, hub)
+                fresh.append((host, nxt + 1, hub))
+                fresh.extend([(r - 1, r + 1, hub) for r in range(nxt + 1, last)])
+                fresh.append((host, last - 1, hub))
+                fresh.append((host, *range(nxt, hub)))
+                nxt = hub + 1
+            else:
+                ends += (nxt, last)
+                fresh.append((host, nxt + 1))
+                fresh.extend([(r - 1, r + 1) for r in range(nxt + 1, last)])
+                fresh.append((host, last - 1))
+                nxt = last + 1
+        roles += copy_roles * old
+        births += array("i", [stage]) * (nxt - old)
+        edge_count = m * edge_count + old * (2 * n if wheel else n)
+        adj = list(map(tuple, grown))
+        adj += fresh
+    return Graph.from_layout(roles, births, adj, edge_count, params)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ order, and hence every export, is deterministic.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -25,6 +26,11 @@ class VertexRole(str, Enum):
     BASE_HUB = "base_hub"
 
 
+# A graph stores each vertex's role as a one-byte code: its index here.
+ROLES = tuple(VertexRole)
+ROLE_CODE = {role: code for code, role in enumerate(ROLES)}
+
+
 @dataclass(frozen=True)
 class VertexInfo:
     id: int
@@ -35,32 +41,60 @@ class VertexInfo:
 class Graph:
     """Simple undirected graph; immutable once frozen.
 
-    Vertex ids are dense 0..n-1 in creation order.  ``add_vertex`` /
-    ``add_edge`` are only legal before :meth:`freeze`; all query methods
-    require the frozen state.
+    Vertex ids are dense 0..n-1 in creation order.  The layout is compact:
+    a ``bytearray`` of role codes (indices into :data:`ROLES`), an
+    ``array`` of birth stages, and one sorted neighbour tuple per vertex.
+    :class:`VertexInfo` objects are made only on demand.
+
+    A graph comes either whole from :meth:`from_layout`, or from
+    ``add_vertex`` / ``add_edge`` calls followed by :meth:`freeze`; those
+    two calls are only legal before freezing, and all query methods
+    other than :meth:`has_edge` require the frozen state.
     """
 
-    __slots__ = ("_info", "_adj", "_frozen", "_edge_count", "params")
+    __slots__ = ("_roles", "_births", "_adj", "_frozen", "_edge_count", "params")
 
     def __init__(self, params: Optional[FractalParams] = None):
-        self._info: list[VertexInfo] = []
-        self._adj: list = []
+        self._roles = bytearray()
+        self._births = array("i")
+        self._adj: list = []  # neighbour sets; a tuple of sorted tuples once frozen
         self._frozen = False
         self._edge_count = 0
         self.params = params
 
+    @classmethod
+    def from_layout(
+        cls, roles: bytearray, births: array, adjacency, edge_count: int,
+        params: Optional[FractalParams] = None,
+    ) -> "Graph":
+        """A frozen graph over finished lists, taken as they are.
+
+        ``adjacency[v]`` must be the ascending tuple of v's neighbours,
+        symmetric and loop-free, with ``edge_count`` edges in all; only the
+        lengths are checked.
+        """
+        if not len(roles) == len(births) == len(adjacency):
+            raise ValueError("roles, births and adjacency differ in length")
+        g = cls(params)
+        g._roles = roles
+        g._births = births
+        g._adj = tuple(adjacency)
+        g._edge_count = edge_count
+        g._frozen = True
+        return g
+
     def add_vertex(self, role: VertexRole, birth: int) -> int:
         if self._frozen:
             raise RuntimeError("graph is frozen")
-        vid = len(self._info)
-        self._info.append(VertexInfo(vid, role, birth))
+        self._roles.append(ROLE_CODE[role])
+        self._births.append(birth)
         self._adj.append(set())
-        return vid
+        return len(self._adj) - 1
 
     def add_edge(self, u: int, v: int) -> None:
         if self._frozen:
             raise RuntimeError("graph is frozen")
-        n = len(self._info)
+        n = len(self._adj)
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidVertexError(f"edge ({u},{v}) references a missing vertex")
         if u == v:
@@ -73,13 +107,13 @@ class Graph:
 
     def freeze(self) -> "Graph":
         if not self._frozen:
-            self._adj = [tuple(sorted(s)) for s in self._adj]
+            self._adj = tuple(tuple(sorted(s)) for s in self._adj)
             self._frozen = True
         return self
 
     @property
     def vertex_count(self) -> int:
-        return len(self._info)
+        return len(self._adj)
 
     @property
     def edge_count(self) -> int:
@@ -87,11 +121,19 @@ class Graph:
 
     @property
     def vertices(self) -> tuple:
-        return tuple(self._info)
+        return tuple(
+            VertexInfo(v, ROLES[code], birth)
+            for v, (code, birth) in enumerate(zip(self._roles, self._births))
+        )
+
+    @property
+    def adjacency(self) -> tuple:
+        """Every vertex's sorted neighbour tuple, indexed by vertex id."""
+        return self._adj
 
     def info(self, v: int) -> VertexInfo:
         self._check_vertex(v)
-        return self._info[v]
+        return VertexInfo(v, ROLES[self._roles[v]], self._births[v])
 
     def neighbors(self, v: int) -> tuple:
         self._check_vertex(v)
@@ -102,9 +144,12 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether u and v are adjacent; also legal while building."""
         self._check_vertex(u)
         self._check_vertex(v)
         nb = self._adj[u]
+        if not self._frozen:
+            return v in nb
         if len(self._adj[v]) < len(nb):
             nb, v = self._adj[v], u
         pos = bisect_left(nb, v)
@@ -112,13 +157,13 @@ class Graph:
 
     def edges(self) -> Iterator[tuple]:
         """All edges as (u, v) with u < v, ascending lexicographic."""
-        for u in range(len(self._info)):
-            for v in self._adj[u]:
+        for u, nb in enumerate(self._adj):
+            for v in nb:
                 if v > u:
                     yield (u, v)
 
     def is_connected(self) -> bool:
-        n = len(self._info)
+        n = len(self._adj)
         if n <= 1:
             return True
         seen = bytearray(n)
@@ -135,13 +180,13 @@ class Graph:
         return count == n
 
     def _check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < len(self._info):
+        if not isinstance(v, int) or not 0 <= v < len(self._adj):
             raise InvalidVertexError(f"vertex {v!r} not in graph")
 
 
 def degree_histogram(g: Graph) -> dict:
     """Map degree -> number of vertices with that degree."""
-    return dict(Counter(len(g.neighbors(v)) for v in range(g.vertex_count)))
+    return dict(Counter(map(len, g._adj)))
 
 
 def laplacian_minor(g: Graph, omit: int):
@@ -194,80 +239,92 @@ class Block:
 def blocks(g: Graph) -> list:
     """Biconnected components of a connected graph, classified.
 
-    Iterative Hopcroft-Tarjan so deep recursion on large graphs is not an
-    issue.  Every edge lands in exactly one block; blocks are returned
-    sorted by their smallest edge for determinism.
+    Every edge lands in exactly one block; blocks are returned sorted by
+    their smallest edge for determinism.
     """
-    if not g.is_connected():
-        raise DisconnectedGraphError("block decomposition requires a connected graph")
-    n = g.vertex_count
-    if n == 0 or g.edge_count == 0:
+    return [
+        _classify_block(tuple(sorted({x for edge in edges for x in edge})), edges)
+        for edges in _block_edges(g)
+    ]
+
+
+def _block_edges(g: Graph) -> list:
+    """Sorted edge tuple of every biconnected component, by smallest edge.
+
+    Iterative Hopcroft-Tarjan, so large graphs cannot exhaust the
+    recursion limit.  It keeps a stack of vertices rather than edges: when a child
+    v closes a block under its parent, the vertices found since v are that
+    block's non-head members.  Each edge then joins the block of its
+    endpoint discovered later, and one ascending sweep over the edges
+    fills every block already in sorted order.  The edge back to a
+    vertex's parent may lower its ``low`` to the parent's discovery time,
+    which changes no ``low[v] >= disc[u]`` test, so it is not skipped.
+    """
+    adj = g._adj
+    n = len(adj)
+    if n <= 1:
         return []
 
-    disc = [-1] * n
+    disc = [0] * n  # discovery time from 1; 0 while unvisited
     low = [0] * n
-    parent = [-1] * n
-    iters = [None] * n
-    edge_stack = []
-    components = []
+    block = [0] * n  # block holding the edge from a vertex to its parent
+    depth = [0] * n  # where a vertex sits in `pending`
+    pending = []
+    count = 0
 
-    disc[0] = low[0] = 0
-    timer = 1
-    stack = [0]
-    while stack:
-        v = stack[-1]
-        if iters[v] is None:
-            iters[v] = iter(g.neighbors(v))
-        advanced = False
-        for w in iters[v]:
-            if disc[w] == -1:
-                parent[w] = v
+    disc[0] = low[0] = 1
+    timer = 2
+    path = [0]
+    iters = [iter(adj[0])]
+    while path:
+        v = path[-1]
+        for w in iters[-1]:
+            if not disc[w]:
                 disc[w] = low[w] = timer
                 timer += 1
-                edge_stack.append((v, w))
-                stack.append(w)
-                advanced = True
+                depth[w] = len(pending)
+                pending.append(w)
+                path.append(w)
+                iters.append(iter(adj[w]))
                 break
-            if w != parent[v] and disc[w] < disc[v]:
-                edge_stack.append((v, w))
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        if not advanced:
-            stack.pop()
-            if stack:
-                u = stack[-1]
-                if low[v] < low[u]:
-                    low[u] = low[v]
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            path.pop()
+            iters.pop()
+            if path:
+                u = path[-1]
                 if low[v] >= disc[u]:
-                    comp = []
-                    while True:
-                        e = edge_stack.pop()
-                        comp.append(e)
-                        if e == (u, v):
-                            break
-                    components.append(comp)
+                    k = depth[v]
+                    for x in pending[k:]:
+                        block[x] = count
+                    del pending[k:]
+                    count += 1
+                elif low[v] < low[u]:
+                    low[u] = low[v]
+    if timer <= n:
+        raise DisconnectedGraphError("block decomposition requires a connected graph")
 
-    out = []
-    for comp in components:
-        edges = tuple(sorted((u, v) if u < v else (v, u) for u, v in comp))
-        vset = set()
-        for u, v in edges:
-            vset.add(u)
-            vset.add(v)
-        out.append(_classify_block(tuple(sorted(vset)), edges))
-    out.sort(key=lambda b: b.edges[0])
-    return out
+    out = [[] for _ in range(count)]
+    for u, nb in enumerate(adj):
+        du, bu = disc[u], block[u]
+        for v in nb:
+            if v > u:
+                out[bu if du > disc[v] else block[v]].append((u, v))
+    out.sort()
+    return list(map(tuple, out))
 
 
 def _classify_block(vertices: tuple, edges: tuple) -> Block:
+    # a biconnected graph with as many edges as vertices is one cycle
+    if len(edges) == len(vertices):
+        return Block(vertices, edges, BlockKind.CYCLE, cycle_length=len(vertices))
+
     adj = {v: [] for v in vertices}
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     degs = {v: len(nb) for v, nb in adj.items()}
-
-    if all(d == 2 for d in degs.values()) and len(edges) == len(vertices):
-        return Block(vertices, edges, BlockKind.CYCLE, cycle_length=len(vertices))
 
     branch = sorted(v for v, d in degs.items() if d >= 3)
     if not branch or any(d < 2 for d in degs.values()):
@@ -341,14 +398,15 @@ def to_edgelist_text(g: Graph) -> str:
 
 def to_json_dict(g: Graph) -> dict:
     p = g.params
+    role_names = [role.value for role in ROLES]
     return {
         "family": p.family.value if p else None,
         "n": p.n if p else None,
         "m": p.m if p else None,
         "i": p.i if p else None,
         "vertices": [
-            {"id": info.id, "role": info.role.value, "birth": info.birth}
-            for info in g.vertices
+            {"id": v, "role": role_names[code], "birth": birth}
+            for v, (code, birth) in enumerate(zip(g._roles, g._births))
         ],
         "edges": [[u, v] for u, v in g.edges()],
     }
@@ -364,13 +422,12 @@ _DOT_COLORS = {
 
 
 def to_dot(g: Graph, name: str = "G") -> str:
+    colors = [_DOT_COLORS[role] for role in ROLES]
     lines = [f"graph {name} {{"]
-    for info in g.vertices:
-        lines.append(
-            f'  {info.id} [color={_DOT_COLORS[info.role]}, '
-            f'label="{info.id}", birth={info.birth}];'
-        )
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
+    lines.extend(
+        f'  {v} [color={colors[code]}, label="{v}", birth={birth}];'
+        for v, (code, birth) in enumerate(zip(g._roles, g._births))
+    )
+    lines.extend(f"  {u} -- {v};" for u, v in g.edges())
     lines.append("}")
     return "\n".join(lines) + "\n"

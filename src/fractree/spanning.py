@@ -24,7 +24,7 @@ from heapq import heapify, heappop, heappush
 
 from .errors import BadParameterError, DisconnectedGraphError, SizeCapError
 from .exact import FactoredCount
-from .graph import Graph, blocks
+from .graph import Graph, _block_edges
 from .params import Family, FractalParams
 from .sequences import size_sequences
 
@@ -124,26 +124,34 @@ def _reduced_laplacian_determinant(adj) -> int:
     return int(det)
 
 
+def check_oracle_cap(vertex_count: int, max_vertices: int = DEFAULT_ORACLE_MAX_VERTICES) -> None:
+    """Refuse a determinant over more than ``max_vertices`` vertices."""
+    if vertex_count > max_vertices:
+        raise SizeCapError(
+            f"{vertex_count} vertices exceeds the determinant cap of {max_vertices}"
+        )
+
+
 def tau_oracle(g: Graph, max_vertices: int = DEFAULT_ORACLE_MAX_VERTICES) -> int:
     """Exact spanning-tree count via the matrix-tree theorem.
 
     The vertex cap is checked first, before the connectivity scan.
     """
-    if g.vertex_count > max_vertices:
-        raise SizeCapError(
-            f"{g.vertex_count} vertices exceeds the determinant cap of {max_vertices}"
-        )
+    check_oracle_cap(g.vertex_count, max_vertices)
     if not g.is_connected():
         raise DisconnectedGraphError("spanning trees are only counted for connected graphs")
-    return _reduced_laplacian_determinant({v: g.neighbors(v) for v in range(g.vertex_count)})
+    return _reduced_laplacian_determinant(dict(enumerate(g.adjacency)))
 
 
 def tau_blocks(g: Graph) -> int:
-    """Spanning-tree count as the product over biconnected blocks."""
+    """Spanning-tree count as the product over biconnected blocks.
+
+    Only each block's edges are needed, so blocks are not classified.
+    """
     result = 1
-    for block in blocks(g):
+    for edges in _block_edges(g):
         adj = {}
-        for u, v in block.edges:
+        for u, v in edges:
             adj.setdefault(u, []).append(v)
             adj.setdefault(v, []).append(u)
         result *= _reduced_laplacian_determinant(adj)

@@ -270,7 +270,7 @@ def _random_connected_graph(rng: random.Random, max_n: int = 8, min_extra: int =
         if added >= rng.randint(min_extra, n):
             break
         u, v = rng.randrange(n), rng.randrange(n)
-        if u != v and v not in g._adj[u]:
+        if u != v and not g.has_edge(u, v):
             g.add_edge(u, v)
             added += 1
     return g.freeze()

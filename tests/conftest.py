@@ -37,15 +37,10 @@ def random_connected_graph(rng: random.Random, max_n: int = 10, min_extra: int =
         if added >= target:
             break
         u, v = rng.randrange(n), rng.randrange(n)
-        if u != v and not g_has_edge_building(g, u, v):
+        if u != v and not g.has_edge(u, v):
             g.add_edge(u, v)
             added += 1
     return g.freeze()
-
-
-def g_has_edge_building(g: Graph, u: int, v: int) -> bool:
-    # adjacency is still a set while the graph is being built
-    return v in g._adj[u]
 
 
 @pytest.fixture

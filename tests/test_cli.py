@@ -1,12 +1,26 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from fractree import cli
 
-def run_cli(*args, env=None):
+
+def run_cli(*args):
+    """Call ``fractree.cli.main`` in-process, capturing the exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
+
+
+def run_module(*args, env=None):
+    """Run ``python -m fractree.cli`` in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "fractree.cli", *args],
         capture_output=True,
@@ -51,7 +65,7 @@ class TestGenerate:
         assert flags.stdout == pos.stdout
 
     def test_bad_n_exits_2(self):
-        r = run_cli("generate", "cycle", "2", "2", "1")
+        r = run_module("generate", "cycle", "2", "2", "1")
         assert r.returncode == 2
 
     def test_missing_params_exits_2(self):
@@ -59,21 +73,18 @@ class TestGenerate:
         assert r.returncode == 2
 
     def test_size_cap_exits_3(self):
-        r = run_cli("generate", "cycle", "3", "2", "9")
+        r = run_module("generate", "cycle", "3", "2", "9")
         assert r.returncode == 3
 
     def test_cap_env_override(self, tmp_path):
         env = dict(os.environ, FRACTREE_MAX_VERTICES="10")
-        r = subprocess.run(
-            [sys.executable, "-m", "fractree.cli", "generate", "cycle", "3", "2", "1"],
-            capture_output=True, text=True, env=env,
-        )
+        r = run_module("generate", "cycle", "3", "2", "1", env=env)
         assert r.returncode == 3
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_bad_cap_env_exits_2(self, value):
-        env = dict(os.environ, FRACTREE_MAX_VERTICES=value)
-        r = run_cli("generate", "cycle", "3", "2", "1", env=env)
+    def test_bad_cap_env_exits_2(self, monkeypatch, value):
+        monkeypatch.setenv("FRACTREE_MAX_VERTICES", value)
+        r = run_cli("generate", "cycle", "3", "2", "1")
         assert_clean_error(r, 2)
         assert "FRACTREE_MAX_VERTICES" in r.stderr
 
@@ -134,8 +145,17 @@ class TestCount:
         assert "cap of 25000" in r.stderr
         assert r.stdout == ""
 
+    def test_matrix_tree_cap_checked_before_build(self, monkeypatch, capsys):
+        def no_build(*args, **kwargs):
+            raise AssertionError("graph built for a count over the oracle cap")
+
+        monkeypatch.setattr(cli.construct, "build", no_build)
+        assert cli.main(["count", "cycle", "3", "2", "7", "--method", "matrix-tree"]) == 3
+        assert cli.main(["count", "cycle", "3", "2", "7", "--method", "all"]) == 3
+        assert "cap of 25000" in capsys.readouterr().err
+
     def test_expansion_over_bit_cap_exits_3(self):
-        r = run_cli("count", "cycle", "3", "2", "30")
+        r = run_module("count", "cycle", "3", "2", "30")
         assert_clean_error(r, 3)
         assert r.stdout == ""
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fractree.construct import (
@@ -10,7 +12,15 @@ from fractree.construct import (
     unfold_census_block_multiset,
 )
 from fractree.errors import BadParameterError, InvalidVertexSetError, SizeCapError
-from fractree.graph import Graph, VertexRole, blocks, degree_histogram, to_edgelist_text
+from fractree.graph import (
+    Graph,
+    VertexRole,
+    blocks,
+    degree_histogram,
+    to_dot,
+    to_edgelist_text,
+    to_json_dict,
+)
 from fractree.params import Family, FractalParams
 from fractree.sequences import size_sequences
 
@@ -236,6 +246,43 @@ class TestBuild:
     def test_non_positive_cap_rejected(self):
         with pytest.raises(BadParameterError):
             build(FractalParams(Family.CYCLE, 3, 2, 1), max_vertices=0)
+
+
+def _composed(p):
+    """The reference composition: base, then ept and glv once per stage."""
+    g = base(p.family, p.n)
+    for stage in range(1, p.i + 1):
+        hosts = range(g.vertex_count)
+        g = glv(ept(g, p.m, birth=stage), p.family, p.n, hosts, birth=stage)
+    g.params = p
+    return g
+
+
+_ONE_PASS_GRID = [
+    FractalParams(family, n, m, i)
+    for family in Family
+    for n in range(3, 7)
+    for m in range(2, 5)
+    for i in range(4)
+    if size_sequences(FractalParams(family, n, m, i), i + 1).u[i + 1] <= 20_000
+]
+
+
+class TestOnePassBuild:
+    @pytest.mark.parametrize(
+        "p", _ONE_PASS_GRID, ids=lambda p: f"{p.family.value}-{p.n}-{p.m}-{p.i}"
+    )
+    def test_equals_reference_composition(self, p):
+        fast, ref = build(p), _composed(p)
+        assert fast.adjacency == ref.adjacency
+        assert fast.edge_count == ref.edge_count
+        assert fast.vertices == ref.vertices
+        assert all(fast.info(v) == ref.info(v) for v in range(ref.vertex_count))
+        assert to_edgelist_text(fast) == to_edgelist_text(ref)
+        assert json.dumps(to_json_dict(fast), indent=2) == json.dumps(
+            to_json_dict(ref), indent=2
+        )
+        assert to_dot(fast) == to_dot(ref)
 
 
 class TestCensus:

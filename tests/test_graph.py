@@ -1,4 +1,5 @@
 import json
+from array import array
 
 import pytest
 
@@ -6,6 +7,7 @@ from fractree.construct import base, build, ept
 from fractree.errors import DisconnectedGraphError, InvalidVertexError
 from fractree.graph import (
     Graph,
+    VertexInfo,
     VertexRole,
     blocks,
     degree_histogram,
@@ -54,6 +56,27 @@ class TestGraphBasics:
             g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
         with pytest.raises(RuntimeError):
             g.add_edge(0, 1)
+
+    def test_has_edge_while_building(self):
+        g = Graph()
+        for _ in range(3):
+            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
+        g.add_edge(2, 0)
+        assert g.has_edge(0, 2) and g.has_edge(2, 0)
+        assert not g.has_edge(0, 1)
+        with pytest.raises(InvalidVertexError):
+            g.has_edge(0, 3)
+
+    def test_info_made_on_demand(self):
+        g = base(Family.WHEEL, 4)
+        assert g.info(4) == VertexInfo(4, VertexRole.BASE_HUB, 0)
+        assert g.vertices == tuple(g.info(v) for v in range(5))
+        with pytest.raises(InvalidVertexError):
+            g.info(5)
+
+    def test_from_layout_checks_lengths(self):
+        with pytest.raises(ValueError):
+            Graph.from_layout(bytearray(2), array("i", [0, 0]), [(1,)], 0)
 
     def test_neighbors_sorted(self):
         g = _two_triangles_sharing_vertex()
