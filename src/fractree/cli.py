@@ -13,7 +13,7 @@ import sys
 
 from . import construct, clustering, sequences, spanning, verify
 from .errors import DomainViolationError, FractreeError, OverflowCapError, SizeCapError
-from .exact import factored_expand
+from .exact import decimal_str, factored_expand
 from .graph import blocks, degree_histogram, to_dot, to_edgelist_text, to_json_dict
 from .params import Family, FractalParams
 
@@ -115,15 +115,6 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _count_json(count) -> dict:
-    value = factored_expand(count)
-    return {
-        "factored": count.to_json(),
-        "decimal": str(value),
-        "digits": len(str(value)),
-    }
-
-
 def _cmd_generate(args) -> int:
     params = _resolve_params(args, need_stage=True, default_stage=0)
     g = construct.build(params)
@@ -153,35 +144,29 @@ def _cmd_count(args) -> int:
         if args.method in ("blocks", "all"):
             results["blocks"] = spanning.tau_blocks(g)
 
-    lines = []
-    values = {}
-    payload = {}
-    for method, result in results.items():
-        if method == "formula":
-            values[method] = factored_expand(result)
-            payload[method] = _count_json(result)
-            lines.append(
-                f"formula: {result} = {values[method]} ({len(str(values[method]))} digits)"
-            )
-        else:
-            values[method] = result
-            payload[method] = {"decimal": str(result), "digits": len(str(result))}
-            lines.append(f"{method}: {result} ({len(str(result))} digits)")
-    if args.method == "all":
-        agree = len(set(values.values())) == 1
-        payload["agree"] = agree
-        lines.append("agreement: all methods agree" if agree else "agreement: DISAGREEMENT")
-        if not agree:
-            _emit(
-                (json.dumps(payload, indent=2) + "\n") if args.as_json else "\n".join(lines) + "\n",
-                args.out,
-            )
-            return EXIT_MISMATCH
-    _emit(
-        (json.dumps(payload, indent=2) + "\n") if args.as_json else "\n".join(lines) + "\n",
-        args.out,
-    )
-    return EXIT_OK
+    values = {
+        method: factored_expand(result) if method == "formula" else result
+        for method, result in results.items()
+    }
+    texts = {method: decimal_str(value) for method, value in values.items()}
+    agree = len(set(values.values())) == 1
+    if args.as_json:
+        payload = {}
+        for method, text in texts.items():
+            entry = {"factored": results[method].to_json()} if method == "formula" else {}
+            payload[method] = {**entry, "decimal": text, "digits": len(text)}
+        if args.method == "all":
+            payload["agree"] = agree
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    else:
+        lines = []
+        for method, text in texts.items():
+            shown = f"{results[method]} = {text}" if method == "formula" else text
+            lines.append(f"{method}: {shown} ({len(text)} digits)")
+        if args.method == "all":
+            lines.append("agreement: all methods agree" if agree else "agreement: DISAGREEMENT")
+        _emit("\n".join(lines) + "\n", args.out)
+    return EXIT_MISMATCH if args.method == "all" and not agree else EXIT_OK
 
 
 def _fmt10(x) -> str:
@@ -215,11 +200,11 @@ def _cmd_invariants(args) -> int:
     elif args.which == "sizes":
         params = _resolve_params(args, need_stage=True, default_stage=0)
         seq = sequences.size_sequences(params, max(args.upto, params.i + 1))
-        lines.append(f"u: {', '.join(map(str, seq.u))}")
-        lines.append(f"e: {', '.join(map(str, seq.e))}")
+        lines.append(f"u: {', '.join(map(decimal_str, seq.u))}")
+        lines.append(f"e: {', '.join(map(decimal_str, seq.e))}")
         lines.append(
-            f"stage-{params.i} graph: {seq.u[params.i + 1]} vertices, "
-            f"{seq.e[params.i + 1]} edges"
+            f"stage-{params.i} graph: {decimal_str(seq.u[params.i + 1])} vertices, "
+            f"{decimal_str(seq.e[params.i + 1])} edges"
         )
     elif args.which == "census":
         params = _resolve_params(args, need_stage=True)

@@ -217,19 +217,50 @@ class EntropyEstimate:
     delta: float
 
 
-def _entropy_terms(params: FractalParams):
-    # ln tau(G^(k)) = S1(k)*ln(base) + mult*S2(k)*ln(m) with
-    # S1 = sum u_j, S2 = sum (k-j)u_j over j <= k.
-    if params.family is Family.CYCLE:
-        return params.n, 1
+def _exponent_sums(params: FractalParams, upto: int):
+    """Yield (S1(k), S2(k), u_k, u_{k+1}) for k = 0..upto, exactly.
+
+    S1(k) = sum of u_j and S2(k) = sum of (k-j)*u_j over j <= k, kept as
+    running sums (S2(k) = S2(k-1) + S1(k-1)) while the coupled recurrence
+    is stepped, so one pass serves every k.
+    """
+    vr, er = _coupled_rates(params)
+    m = params.m
+    u, e = 1, 0
+    s1 = s2 = 0
+    for _ in range(upto + 1):
+        s2 += s1
+        s1 += u
+        u_next = vr * u + (m - 1) * e
+        e = er * u + m * e
+        yield s1, s2, u, u_next
+        u = u_next
+
+
+def _entropy_terms(family: Family, n: int):
+    # ln tau(G^(k)) = S1(k)*ln(base) + mult*S2(k)*ln(m)
+    if family is Family.CYCLE:
+        return n, 1
     from .spanning import tau_wheel_base
 
-    return tau_wheel_base(params.n), params.n
+    return tau_wheel_base(n), n
+
+
+def _estimate(step: tuple, same_stage: bool, log_base: float, mult: int, log_m: float) -> float:
+    # ln tau(G^(k)) / u_k (offset) or / u_{k+1} (same stage) for one
+    # _exponent_sums step; int/int true division is correctly rounded, so
+    # each ratio is the float nearest the exact rational at any size
+    s1, s2, u, u_next = step
+    denom = u_next if same_stage else u
+    return (s1 / denom) * log_base + mult * (s2 / denom) * log_m
+
+
+_ENTROPY_ITERS = 60
 
 
 def entropy_limit(
     params: FractalParams,
-    iters: int = 60,
+    iters: int = _ENTROPY_ITERS,
     convention: EntropyConvention = EntropyConvention.OFFSET_STAGE,
 ) -> EntropyEstimate:
     """Per-vertex spanning-tree entropy via the recurrences, no graphs built.
@@ -243,21 +274,13 @@ def entropy_limit(
     convention = EntropyConvention(convention)
     if convention is EntropyConvention.CLOSED_FORM:
         raise BadParameterError("use entropy_closed for the closed form")
-    base_count, mult = _entropy_terms(params)
-    log_base = math.log(base_count)
-    log_m = math.log(params.m)
-    u = size_sequences(params, iters + 1).u
-
-    def estimate(k: int) -> float:
-        s1 = sum(u[: k + 1])
-        s2 = sum((k - j) * u[j] for j in range(k + 1))
-        denom = u[k] if convention is EntropyConvention.OFFSET_STAGE else u[k + 1]
-        return float(Fraction(s1, denom)) * log_base + mult * float(
-            Fraction(s2, denom)
-        ) * log_m
-
-    value = estimate(iters)
-    return EntropyEstimate(value, convention.value, iters, value - estimate(iters - 1))
+    base_count, mult = _entropy_terms(params.family, params.n)
+    terms = (math.log(base_count), mult, math.log(params.m))
+    same = convention is EntropyConvention.SAME_STAGE
+    *_, previous, last = _exponent_sums(params, iters)
+    value = _estimate(last, same, *terms)
+    delta = value - _estimate(previous, same, *terms)
+    return EntropyEstimate(value, convention.value, iters, delta)
 
 
 def entropy_closed(params: FractalParams) -> float:
@@ -298,13 +321,21 @@ def entropy_closed(params: FractalParams) -> float:
 
 
 def entropy_surface_rows(family: Family, n_range, m_range) -> list:
-    """(n, m, offset, same, closed-or-None) rows, n-major order."""
+    """(n, m, offset, same, closed-or-None) rows, n-major order.
+
+    Both conventions come from one recurrence pass per (n, m) cell and equal
+    :func:`entropy_limit` at its default depth bit for bit.
+    """
     rows = []
     for n in n_range:
+        base_count, mult = _entropy_terms(family, n)
+        log_base = math.log(base_count)
         for m in m_range:
             p = FractalParams(family, n, m)
-            offset = entropy_limit(p, convention=EntropyConvention.OFFSET_STAGE).value
-            same = entropy_limit(p, convention=EntropyConvention.SAME_STAGE).value
+            log_m = math.log(m)
+            *_, last = _exponent_sums(p, _ENTROPY_ITERS)
+            offset = _estimate(last, False, log_base, mult, log_m)
+            same = _estimate(last, True, log_base, mult, log_m)
             try:
                 closed = entropy_closed(p)
             except DomainViolationError:

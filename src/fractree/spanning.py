@@ -26,7 +26,7 @@ from .errors import BadParameterError, DisconnectedGraphError, SizeCapError
 from .exact import FactoredCount
 from .graph import Graph, _block_edges
 from .params import Family, FractalParams
-from .sequences import size_sequences
+from .sequences import _exponent_sums
 
 DEFAULT_ORACLE_MAX_VERTICES = 25_000
 
@@ -58,22 +58,13 @@ def tau_wheel_base(n: int) -> int:
     return lucas_number(2 * n) - 2
 
 
-def _exponent_sums(params: FractalParams) -> tuple:
-    """S1 = sum of u_j, S2 = sum of (i-j)*u_j, over j = 0..i."""
-    i = params.i
-    u = size_sequences(params, i).u
-    s1 = sum(u)
-    s2 = sum((i - j) * u[j] for j in range(i + 1))
-    return s1, s2
-
-
 def tau_closed(params: FractalParams) -> FactoredCount:
     """Factored spanning-tree count for a stage-i family member.
 
     Cycle: n^S1 * m^S2.  Wheel: (L_{2n}-2)^S1 * m^(n*S2).  The exponent
     sums are accumulated exactly from the recurrence values.
     """
-    s1, s2 = _exponent_sums(params)
+    *_, (s1, s2, _, _) = _exponent_sums(params, params.i)
     if params.family is Family.CYCLE:
         return FactoredCount({params.n: s1}) * FactoredCount({params.m: s2})
     base = tau_wheel_base(params.n)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -159,6 +160,37 @@ class TestCount:
         assert_clean_error(r, 3)
         assert r.stdout == ""
 
+    def test_count_over_int_str_digit_limit(self):
+        # 2^6883*3^22720 has 12,913 digits, over the interpreter's 4,300
+        r = run_cli("count", "cycle", "3", "2", "7")
+        assert r.returncode == 0
+        head, digits = r.stdout.rstrip("\n").rsplit(" (", 1)
+        text = head.split(" = ")[1]
+        assert digits == "12913 digits)" and len(text) == 12_913
+        assert text[-40:] == str(3**22_720 * 2**6_883 % 10**40)
+        # the leading digits, from the logarithm of the count
+        log10 = 22_720 * math.log10(3) + 6_883 * math.log10(2)
+        assert text[:8] == str(int(10 ** (log10 % 1 + 7)))
+
+    def test_json_count_over_int_str_digit_limit(self):
+        r = run_cli("count", "wheel", "6", "3", "4", "--json")
+        assert r.returncode == 0
+        formula = json.loads(r.stdout)["formula"]
+        assert len(formula["decimal"]) == formula["digits"] == 24_087
+
+    def test_all_methods_agree_over_int_str_digit_limit(self):
+        # 17,284 vertices and a 4,818-digit count, through every route
+        r = run_cli("count", "wheel", "7", "4", "3", "--method", "all")
+        assert r.returncode == 0
+        assert r.stdout.endswith("agreement: all methods agree\n")
+        assert r.stdout.count("(4818 digits)") == 3
+
+    def test_module_prints_count_over_int_str_digit_limit(self):
+        r = run_module("count", "cycle", "3", "2", "7")
+        assert r.returncode == 0
+        assert "Traceback" not in r.stderr
+        assert r.stdout.endswith("(12913 digits)\n")
+
 
 class TestInvariants:
     def test_entropy(self):
@@ -210,6 +242,18 @@ class TestInvariants:
         assert r.returncode == 0
         assert "1, 3, 12, 51, 219, 942" in r.stdout
         assert "51 vertices" in r.stdout
+
+    def test_sizes_over_int_str_digit_limit(self):
+        r = run_cli("invariants", "sizes", "wheel", "64", "64", "-i", "2100", "--upto", "2100")
+        assert r.returncode == 0
+        u_line, _, stage_line = r.stdout.splitlines()
+        vertices = stage_line.split()[2]
+        assert len(vertices) > 4300 and u_line.endswith(", " + vertices)
+        # the last digits, from the coupled recurrence taken mod 10^30
+        u, e = 1, 0
+        for _ in range(2101):
+            u, e = (65 * u + 63 * e) % 10**30, (128 * u + 64 * e) % 10**30
+        assert vertices[-30:] == str(u).zfill(30)
 
     def test_census(self):
         r = run_cli("invariants", "census", "cycle", "3", "2", "--stage", "2")

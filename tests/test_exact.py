@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from fractree.errors import OverflowCapError
 from fractree.exact import (
     FactoredCount,
     bareiss_determinant,
+    decimal_str,
     factored_expand,
     factored_log,
 )
@@ -42,6 +45,43 @@ class TestFactoredExpand:
     def test_huge_exponent_rejected_without_computing(self):
         with pytest.raises(OverflowCapError):
             factored_expand(FactoredCount({3: 10**100}))
+
+
+def _decimal_cases(bits):
+    rng = random.Random(bits)
+    values = {0, 1, (1 << bits) - 1, 1 << bits, rng.getrandbits(bits), 10**(bits // 4)}
+    return sorted(values | {-v for v in values})
+
+
+class TestDecimalStr:
+    @pytest.mark.parametrize("bits", [1, 64, 1000, 5000, 12_900, 12_901, 13_000, 14_000])
+    def test_equals_str_below_the_digit_limit(self, bits):
+        # str() serves up to 12,900 bits under the default limit of 4,300
+        # digits; 14,000 bits (about 4,215 digits) already takes the split
+        for v in _decimal_cases(bits):
+            assert decimal_str(v) == str(v)
+
+    def test_lowered_digit_limit(self):
+        values = _decimal_cases(1_919) + _decimal_cases(1_921) + _decimal_cases(2_125)
+        expected = [str(v) for v in values]
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the lowest limit the interpreter accepts
+        try:
+            assert [decimal_str(v) for v in values] == expected
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_equals_str_above_the_digit_limit(self):
+        values = [v for bits in (14_500, 40_001, 100_001) for v in _decimal_cases(bits)]
+        values.append(3**22_720 * 2**6_883)  # the 12,913-digit count of cycle-3-2-7
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = [str(v) for v in values]
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert [decimal_str(v) for v in values] == expected
+        assert len(decimal_str(3**22_720 * 2**6_883)) == 12_913
 
 
 class TestFactoredLog:

@@ -8,6 +8,7 @@ from fractree.errors import BadParameterError, DomainViolationError
 from fractree.params import Family, FractalParams
 from fractree.sequences import (
     EntropyConvention,
+    _exponent_sums,
     QuadraticNumber,
     RecurrenceSpec,
     binet_vertex,
@@ -17,6 +18,7 @@ from fractree.sequences import (
     entropy_surface_rows,
     size_sequences,
 )
+from fractree.spanning import tau_wheel_base
 
 
 class TestSizeSequences:
@@ -61,6 +63,21 @@ class TestSizeSequences:
     def test_bad_upto(self):
         with pytest.raises(BadParameterError):
             size_sequences(FractalParams(Family.CYCLE, 3, 2), -1)
+
+
+class TestExponentSums:
+    @pytest.mark.parametrize("family", list(Family))
+    def test_equal_sums_over_size_sequences(self, family):
+        for n, m in [(3, 2), (4, 3), (6, 2), (9, 7)]:
+            p = FractalParams(family, n, m)
+            for i in range(13):
+                u = size_sequences(p, i + 1).u
+                steps = list(_exponent_sums(p, i))
+                assert len(steps) == i + 1
+                for k, step in enumerate(steps):
+                    s1 = sum(u[: k + 1])
+                    s2 = sum((k - j) * u[j] for j in range(k + 1))
+                    assert step == (s1, s2, u[k], u[k + 1])
 
 
 class TestQuadraticNumber:
@@ -128,6 +145,59 @@ class TestBinet:
     def test_negative_index_rejected(self):
         with pytest.raises(BadParameterError):
             binet_vertex(FractalParams(Family.CYCLE, 3, 2), -1)
+
+
+def reference_entropy_limit(params, iters, convention):
+    """(value, delta) from exact Fractions, re-summing S1 and S2 for every
+    estimate: the formulation the one-pass entropy_limit must reproduce
+    bit for bit."""
+    if params.family is Family.CYCLE:
+        base_count, mult = params.n, 1
+    else:
+        base_count, mult = tau_wheel_base(params.n), params.n
+    log_base = math.log(base_count)
+    log_m = math.log(params.m)
+    u = size_sequences(params, iters + 1).u
+
+    def estimate(k: int) -> float:
+        s1 = sum(u[: k + 1])
+        s2 = sum((k - j) * u[j] for j in range(k + 1))
+        denom = u[k] if convention is EntropyConvention.OFFSET_STAGE else u[k + 1]
+        return float(Fraction(s1, denom)) * log_base + mult * float(
+            Fraction(s2, denom)
+        ) * log_m
+
+    value = estimate(iters)
+    return value, value - estimate(iters - 1)
+
+
+class TestEntropyBitExact:
+    @pytest.mark.parametrize(
+        "convention", [EntropyConvention.OFFSET_STAGE, EntropyConvention.SAME_STAGE]
+    )
+    @pytest.mark.parametrize("iters", [2, 3, 60, 400])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_limit_matches_fraction_reference(self, family, iters, convention):
+        for n in range(3, 10):
+            for m in range(2, 10):
+                p = FractalParams(family, n, m)
+                est = entropy_limit(p, iters, convention)
+                value, delta = reference_entropy_limit(p, iters, convention)
+                assert (est.value.hex(), est.delta.hex()) == (value.hex(), delta.hex())
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_surface_matches_fraction_reference(self, family):
+        rows = entropy_surface_rows(family, range(3, 10), range(2, 10))
+        assert [r[:2] for r in rows] == [(n, m) for n in range(3, 10) for m in range(2, 10)]
+        for n, m, offset, same, closed in rows:
+            p = FractalParams(family, n, m)
+            want_offset, _ = reference_entropy_limit(p, 60, EntropyConvention.OFFSET_STAGE)
+            want_same, _ = reference_entropy_limit(p, 60, EntropyConvention.SAME_STAGE)
+            assert (offset.hex(), same.hex()) == (want_offset.hex(), want_same.hex())
+            if family is Family.CYCLE and n <= m:
+                assert closed is None
+            else:
+                assert closed == entropy_closed(p)
 
 
 class TestEntropy:
