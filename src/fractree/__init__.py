@@ -53,6 +53,7 @@ from .graph import (
     to_dot,
     to_edgelist_text,
     to_json_dict,
+    to_json_text,
 )
 from .params import Family, FractalParams
 from .sequences import (
@@ -94,6 +95,6 @@ __all__ = [
     "lucas_number", "OverflowCapError", "predicted_block_multiset",
     "QuadraticNumber", "RecurrenceSpec", "SizeCapError", "size_sequences",
     "SizeSequences", "tau_blocks", "tau_closed", "tau_oracle",
-    "tau_wheel_base", "to_dot", "to_edgelist_text", "to_json_dict",
+    "tau_wheel_base", "to_dot", "to_edgelist_text", "to_json_dict", "to_json_text",
     "unfold_census_block_multiset", "verify_suite", "VertexInfo", "VertexRole",
 ]

@@ -14,7 +14,7 @@ import sys
 from . import construct, clustering, sequences, spanning, verify
 from .errors import DomainViolationError, FractreeError, OverflowCapError, SizeCapError
 from .exact import decimal_str, factored_expand
-from .graph import blocks, degree_histogram, to_dot, to_edgelist_text, to_json_dict
+from .graph import blocks, degree_histogram, to_dot, to_edgelist_text, to_json_text
 from .params import Family, FractalParams
 
 EXIT_OK = 0
@@ -121,7 +121,7 @@ def _cmd_generate(args) -> int:
     if args.format == "edgelist":
         text = to_edgelist_text(g)
     elif args.format == "json":
-        text = json.dumps(to_json_dict(g), indent=2) + "\n"
+        text = to_json_text(g)
     else:
         text = to_dot(g)
     _emit(text, args.out)

@@ -7,6 +7,8 @@ order, and hence every export, is deterministic.
 
 from __future__ import annotations
 
+import gc
+import json
 from array import array
 from bisect import bisect_left
 from collections import Counter
@@ -249,7 +251,15 @@ def blocks(g: Graph) -> list:
 
 
 def _block_edges(g: Graph) -> list:
-    """Sorted edge tuple of every biconnected component, by smallest edge.
+    """Sorted edge tuple of every biconnected component, by smallest edge."""
+    out, _ = _block_walk(g)
+    out.sort()
+    return list(map(tuple, out))
+
+
+def _block_walk(g: Graph) -> tuple:
+    """Ascending edge list and vertex count of every biconnected component,
+    in the order the blocks close.
 
     Iterative Hopcroft-Tarjan, so large graphs cannot exhaust the
     recursion limit.  It keeps a stack of vertices rather than edges: when a child
@@ -259,60 +269,68 @@ def _block_edges(g: Graph) -> list:
     fills every block already in sorted order.  The edge back to a
     vertex's parent may lower its ``low`` to the parent's discovery time,
     which changes no ``low[v] >= disc[u]`` test, so it is not skipped.
+    Cyclic garbage collection is paused for the walk: its many small
+    allocations would set off collections that free nothing.
     """
     adj = g._adj
     n = len(adj)
     if n <= 1:
-        return []
+        return [], []
 
-    disc = [0] * n  # discovery time from 1; 0 while unvisited
-    low = [0] * n
-    block = [0] * n  # block holding the edge from a vertex to its parent
-    depth = [0] * n  # where a vertex sits in `pending`
-    pending = []
-    count = 0
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        disc = [0] * n  # discovery time from 1; 0 while unvisited
+        low = [0] * n
+        block = [0] * n  # block holding the edge from a vertex to its parent
+        depth = [0] * n  # where a vertex sits in `pending`
+        pending = []
+        sizes = []  # vertex count of each closed block, its head included
 
-    disc[0] = low[0] = 1
-    timer = 2
-    path = [0]
-    iters = [iter(adj[0])]
-    while path:
-        v = path[-1]
-        for w in iters[-1]:
-            if not disc[w]:
-                disc[w] = low[w] = timer
-                timer += 1
-                depth[w] = len(pending)
-                pending.append(w)
-                path.append(w)
-                iters.append(iter(adj[w]))
-                break
-            if disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            path.pop()
-            iters.pop()
-            if path:
-                u = path[-1]
-                if low[v] >= disc[u]:
-                    k = depth[v]
-                    for x in pending[k:]:
-                        block[x] = count
-                    del pending[k:]
-                    count += 1
-                elif low[v] < low[u]:
-                    low[u] = low[v]
-    if timer <= n:
-        raise DisconnectedGraphError("block decomposition requires a connected graph")
+        disc[0] = low[0] = 1
+        timer = 2
+        path = [0]
+        iters = [iter(adj[0])]
+        while path:
+            v = path[-1]
+            for w in iters[-1]:
+                if not disc[w]:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    depth[w] = len(pending)
+                    pending.append(w)
+                    path.append(w)
+                    iters.append(iter(adj[w]))
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                path.pop()
+                iters.pop()
+                if path:
+                    u = path[-1]
+                    if low[v] >= disc[u]:
+                        k = depth[v]
+                        count = len(sizes)
+                        for x in pending[k:]:
+                            block[x] = count
+                        sizes.append(len(pending) - k + 1)
+                        del pending[k:]
+                    elif low[v] < low[u]:
+                        low[u] = low[v]
+        if timer <= n:
+            raise DisconnectedGraphError("block decomposition requires a connected graph")
 
-    out = [[] for _ in range(count)]
-    for u, nb in enumerate(adj):
-        du, bu = disc[u], block[u]
-        for v in nb:
-            if v > u:
-                out[bu if du > disc[v] else block[v]].append((u, v))
-    out.sort()
-    return list(map(tuple, out))
+        out = [[] for _ in sizes]
+        for u, nb in enumerate(adj):
+            du, bu = disc[u], block[u]
+            for v in nb:
+                if v > u:
+                    out[bu if du > disc[v] else block[v]].append((u, v))
+        return out, sizes
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _classify_block(vertices: tuple, edges: tuple) -> Block:
@@ -396,20 +414,46 @@ def to_edgelist_text(g: Graph) -> str:
     return "".join(f"{u} {v}\n" for u, v in g.edges())
 
 
-def to_json_dict(g: Graph) -> dict:
+def _json_header(g: Graph) -> dict:
     p = g.params
-    role_names = [role.value for role in ROLES]
     return {
         "family": p.family.value if p else None,
         "n": p.n if p else None,
         "m": p.m if p else None,
         "i": p.i if p else None,
+    }
+
+
+def to_json_dict(g: Graph) -> dict:
+    role_names = [role.value for role in ROLES]
+    return {
+        **_json_header(g),
         "vertices": [
             {"id": v, "role": role_names[code], "birth": birth}
             for v, (code, birth) in enumerate(zip(g._roles, g._births))
         ],
         "edges": [[u, v] for u, v in g.edges()],
     }
+
+
+def to_json_text(g: Graph) -> str:
+    """``json.dumps(to_json_dict(g), indent=2) + "\\n"``, byte for byte.
+
+    With ``indent`` set, CPython's ``json`` runs its pure-Python encoder,
+    so the vertex and edge blocks are written here in the same layout.
+    """
+    head = json.dumps(_json_header(g), indent=2)[:-2]  # drop the closing "\n}"
+    roles = [json.dumps(role.value) for role in ROLES]
+    vertices = ",".join(
+        f'\n    {{\n      "id": {v},\n      "role": {roles[code]},\n      "birth": {birth}\n    }}'
+        for v, (code, birth) in enumerate(zip(g._roles, g._births))
+    )
+    edges = ",".join(f"\n    [\n      {u},\n      {v}\n    ]" for u, v in g.edges())
+    return f'{head},\n  "vertices": {_json_list(vertices)},\n  "edges": {_json_list(edges)}\n}}\n'
+
+
+def _json_list(items: str) -> str:
+    return f"[{items}\n  ]" if items else "[]"
 
 
 _DOT_COLORS = {

@@ -11,20 +11,23 @@ construction is off, determinant wrong means the arithmetic is off.
 Both graph routes take the determinant by sparse exact elimination of the
 reduced Laplacian straight from adjacency lists, in greedy minimum-degree
 order, which keeps fill near zero on these planar, mostly degree-2 and
-degree-3 graphs.  The dense fraction-free route
-(:func:`~fractree.exact.bareiss_determinant` of
+degree-3 graphs.  Entries are reduced integer (numerator, denominator)
+pairs, not ``Fraction`` objects.  The block product groups blocks by an
+exact shape key and eliminates each distinct shape once.  The dense
+fraction-free route (:func:`~fractree.exact.bareiss_determinant` of
 :func:`~fractree.graph.laplacian_minor`) stays as the reference it is
 checked against.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 from heapq import heapify, heappop, heappush
+from math import gcd
 
 from .errors import BadParameterError, DisconnectedGraphError, SizeCapError
 from .exact import FactoredCount
-from .graph import Graph, _block_edges
+from .graph import Graph, _block_walk
 from .params import Family, FractalParams
 from .sequences import _exponent_sums
 
@@ -79,40 +82,59 @@ def _reduced_laplacian_determinant(adj) -> int:
     kept as dict rows and eliminated one vertex at a time, always the one
     with the fewest nonzeros left (ties by vertex), taken from a heap whose
     stale entries are skipped.  Elimination keeps the rows symmetric, so a
-    pivot row doubles as its column.  Arithmetic is exact: off-diagonal
-    entries start as the int -1 and the diagonal as a ``Fraction``, so
-    every multiplier and update is a ``Fraction``.  The determinant is the
-    product of the pivots.
+    pivot row doubles as its column.  Arithmetic is exact: every entry is
+    a reduced ``(numerator, denominator)`` pair of ints with a positive
+    denominator, updated inline with ``math.gcd``.  The determinant is the
+    product of the pivot numerators over the product of the pivot
+    denominators, which must divide exactly.
     """
     dropped = next(iter(adj), None)
     rows = {}
     for v, nbrs in adj.items():
         if v != dropped:
-            row = dict.fromkeys((w for w in nbrs if w != dropped), -1)
-            row[v] = Fraction(len(nbrs))
+            row = dict.fromkeys((w for w in nbrs if w != dropped), (-1, 1))
+            row[v] = (len(nbrs), 1)
             rows[v] = row
     heap = [(len(row), v) for v, row in rows.items()]
     heapify(heap)
-    det = Fraction(1)
+    num = den = 1
     while heap:
         size, v = heappop(heap)
         row = rows.get(v)
         if row is None or len(row) != size:
             continue
         del rows[v]
-        pivot = row.pop(v)
+        pn, pd = row.pop(v)
         # the reduced Laplacian of a connected graph is positive definite
-        if pivot <= 0:
-            raise ArithmeticError(f"non-positive pivot {pivot} at vertex {v}")
-        det *= pivot
-        for w, a in row.items():
+        if pn <= 0:
+            raise ArithmeticError(f"non-positive pivot {pn}/{pd} at vertex {v}")
+        num *= pn
+        den *= pd
+        for w, (an, ad) in row.items():
             target = rows[w]
             del target[v]
-            f = a / pivot
-            for x, b in row.items():
-                target[x] = target.get(x, 0) - f * b
+            # the multiplier a / pivot, reduced; its denominator is > 0
+            fn, fd = an * pd, ad * pn
+            c = gcd(fn, fd)
+            if c != 1:
+                fn //= c
+                fd //= c
+            for x, (bn, bd) in row.items():
+                # target[x] -= f * b
+                un, ud = fn * bn, fd * bd
+                t = target.get(x)
+                if t is None:
+                    un = -un
+                else:
+                    tn, td = t
+                    un, ud = tn * ud - un * td, td * ud
+                c = gcd(un, ud)
+                target[x] = (un // c, ud // c) if c != 1 else (un, ud)
             heappush(heap, (len(target), w))
-    return int(det)
+    det, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError("the pivot product is not an integer")
+    return det
 
 
 def check_oracle_cap(vertex_count: int, max_vertices: int = DEFAULT_ORACLE_MAX_VERTICES) -> None:
@@ -137,13 +159,30 @@ def tau_oracle(g: Graph, max_vertices: int = DEFAULT_ORACLE_MAX_VERTICES) -> int
 def tau_blocks(g: Graph) -> int:
     """Spanning-tree count as the product over biconnected blocks.
 
-    Only each block's edges are needed, so blocks are not classified.
+    Blocks are not classified: each is reduced to an exact shape key, and
+    every distinct shape is eliminated once and raised to the number of
+    blocks that have it.  A block with as many edges as vertices is a
+    cycle, and all cycles of one length are isomorphic, so its key is its
+    length.  Any other block's key is its edge list relabelled in order of
+    first appearance, so equal keys mean the same labelled graph.
     """
+    edge_lists, sizes = _block_walk(g)
+    shapes = Counter()
+    for edges, size in zip(edge_lists, sizes):
+        if len(edges) == size:
+            shapes[size] += 1
+        else:
+            label = {}
+            shapes[tuple(
+                (label.setdefault(u, len(label)), label.setdefault(v, len(label)))
+                for u, v in edges
+            )] += 1
     result = 1
-    for edges in _block_edges(g):
+    for key, count in shapes.items():
+        edges = [(k, (k + 1) % key) for k in range(key)] if isinstance(key, int) else key
         adj = {}
         for u, v in edges:
             adj.setdefault(u, []).append(v)
             adj.setdefault(v, []).append(u)
-        result *= _reduced_laplacian_determinant(adj)
+        result *= _reduced_laplacian_determinant(adj) ** count
     return result

@@ -23,17 +23,20 @@ def naive_determinant(matrix):
     return total
 
 
-def random_connected_graph(rng: random.Random, max_n: int = 10, min_extra: int = 0) -> Graph:
-    """Random spanning tree plus random extra edges; always connected."""
-    n = rng.randint(max(2, min_extra + 2), max_n)
+def random_connected_graph(
+    rng: random.Random, max_n: int = 10, min_extra: int = 0, min_n: int = 2, density: int = 1
+) -> Graph:
+    """Random spanning tree plus up to ``density * n`` random extra edges;
+    always connected."""
+    n = rng.randint(max(min_n, min_extra + 2), max_n)
     g = Graph()
     for _ in range(n):
         g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
     for v in range(1, n):
         g.add_edge(v, rng.randrange(v))
     added = 0
-    target = rng.randint(min_extra, n)
-    for _ in range(6 * n):
+    target = rng.randint(min_extra, density * n)
+    for _ in range(6 * density * n):
         if added >= target:
             break
         u, v = rng.randrange(n), rng.randrange(n)

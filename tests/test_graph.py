@@ -15,6 +15,7 @@ from fractree.graph import (
     to_dot,
     to_edgelist_text,
     to_json_dict,
+    to_json_text,
 )
 from fractree.params import Family, FractalParams
 
@@ -270,6 +271,27 @@ class TestSerialization:
     def test_json_without_params(self):
         d = to_json_dict(_cycle(4))
         assert d["family"] is None
+
+    @pytest.mark.parametrize(
+        "family,n,m,i",
+        [
+            (Family.CYCLE, 3, 2, 0),
+            (Family.CYCLE, 3, 2, 3),
+            (Family.CYCLE, 5, 3, 2),
+            (Family.WHEEL, 3, 2, 0),
+            (Family.WHEEL, 4, 2, 2),
+            (Family.WHEEL, 6, 3, 1),
+        ],
+    )
+    def test_json_text_matches_encoder(self, family, n, m, i):
+        g = build(FractalParams(family, n, m, i))
+        assert to_json_text(g) == json.dumps(to_json_dict(g), indent=2) + "\n"
+
+    def test_json_text_without_params(self):
+        single = Graph()
+        single.add_vertex(VertexRole.FRESH_HUB, 2)
+        for g in (_cycle(4), _two_triangles_sharing_vertex(), single.freeze(), Graph().freeze()):
+            assert to_json_text(g) == json.dumps(to_json_dict(g), indent=2) + "\n"
 
     def test_dot_output(self):
         text = to_dot(_cycle(3))

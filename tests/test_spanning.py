@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from fractree.construct import base, build, ept, glv
 from fractree.errors import BadParameterError, DisconnectedGraphError, SizeCapError
 from fractree.exact import FactoredCount, bareiss_determinant, factored_expand
-from fractree.graph import Graph, VertexRole, laplacian_minor
+from fractree.graph import Graph, VertexRole, blocks, laplacian_minor
 from fractree.params import Family, FractalParams
 from fractree.spanning import (
     DEFAULT_ORACLE_MAX_VERTICES,
@@ -150,10 +151,67 @@ class TestSparseKernel:
         dense = bareiss_determinant(laplacian_minor(g, 0))
         assert _sparse_minor_determinant(g, 0) == dense
 
+    def test_matches_dense_on_larger_random_graphs(self, rng):
+        # 30-60 vertices and up to about 3V edges: elimination fills in and
+        # the pivots carry large denominators
+        for _ in range(12):
+            g = random_connected_graph(rng, max_n=60, min_n=30, density=2)
+            omit = rng.randrange(g.vertex_count)
+            dense = bareiss_determinant(laplacian_minor(g, omit))
+            assert _sparse_minor_determinant(g, omit) == dense
+
     def test_singular_minor_raises(self):
         # two components: the minor is singular, so a zero pivot appears
         with pytest.raises(ArithmeticError):
             _reduced_laplacian_determinant({0: [1], 1: [0], 2: [3], 3: [2]})
+
+
+def _plain_block_product(g: Graph) -> int:
+    """One kernel call per block, with no shape memo."""
+    result = 1
+    for block in blocks(g):
+        adj = {}
+        for u, v in block.edges:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        result *= _reduced_laplacian_determinant(adj)
+    return result
+
+
+def _biconnected_piece(rng) -> list:
+    """Edges of a random Hamiltonian cycle plus chords on 3-7 vertices."""
+    n = rng.randint(3, 7)
+    edges = {(k, k + 1) for k in range(n - 1)} | {(0, n - 1)}
+    for _ in range(rng.randint(0, n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return sorted(edges)
+
+
+def _glued_copies(rng, pieces: list, copies: int) -> Graph:
+    """Randomly relabelled copies of ``pieces`` glued at cut vertices into
+    one connected graph with shuffled vertex ids."""
+    edges = []
+    size = 1
+    for _ in range(copies):
+        piece = rng.choice(pieces)
+        n = 1 + max(v for e in piece for v in e)
+        order = list(range(n))
+        rng.shuffle(order)
+        # the piece's first vertex in shuffled order lands on an existing one
+        ids = {order[0]: rng.randrange(size)}
+        for k in order[1:]:
+            ids[k] = size
+            size += 1
+        edges += [(ids[u], ids[v]) for u, v in piece]
+    perm = list(range(size))
+    rng.shuffle(perm)
+    g = Graph()
+    for _ in range(size):
+        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
+    for u, v in edges:
+        g.add_edge(perm[u], perm[v])
+    return g.freeze()
 
 
 class TestTauBlocks:
@@ -177,6 +235,57 @@ class TestTauBlocks:
         for _ in range(15):
             g = random_connected_graph(rng, max_n=9)
             assert tau_blocks(g) == tau_oracle(g)
+
+    def test_repeated_shapes_match_plain_product(self, rng):
+        for _ in range(10):
+            pieces = [_biconnected_piece(rng) for _ in range(3)] + [[(0, 1)]]
+            g = _glued_copies(rng, pieces, rng.randint(8, 30))
+            assert tau_blocks(g) == _plain_block_product(g) == tau_oracle(g)
+
+    def test_cycles_of_several_lengths(self):
+        for length in range(3, 12):
+            assert tau_blocks(base(Family.CYCLE, length)) == length
+        # one cycle of each length 3..9, each hung off the last one's vertex
+        g = Graph()
+        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
+        for length in range(3, 10):
+            head = g.vertex_count - 1
+            ring = [head] + [g.add_vertex(VertexRole.ORIGINAL_BASE, 0) for _ in range(length - 1)]
+            for k in range(length):
+                g.add_edge(ring[k], ring[(k + 1) % length])
+        g.freeze()
+        assert tau_blocks(g) == _plain_block_product(g) == math.factorial(9) // 2
+
+    @pytest.mark.parametrize(
+        "family,n,m",
+        [(Family.CYCLE, 3, 2), (Family.CYCLE, 4, 3), (Family.WHEEL, 3, 2), (Family.WHEEL, 4, 2)],
+    )
+    def test_family_graphs_match_plain_product(self, family, n, m):
+        for i in range(5):
+            g = build(FractalParams(family, n, m, i))
+            assert tau_blocks(g) == _plain_block_product(g), f"{family.value}-{n}-{m}-{i}"
+
+    @pytest.mark.parametrize("walk", [blocks, tau_blocks], ids=["blocks", "tau_blocks"])
+    def test_gc_state_restored(self, walk):
+        # the block walk pauses cyclic GC and must hand back the caller's state
+        g = build(FractalParams(Family.CYCLE, 3, 2, 2))
+        disconnected = Graph()
+        for _ in range(3):
+            disconnected.add_vertex(VertexRole.ORIGINAL_BASE, 0)
+        disconnected.add_edge(0, 1)
+        disconnected.freeze()
+        assert gc.isenabled()
+        walk(g)
+        assert gc.isenabled()
+        with pytest.raises(DisconnectedGraphError):
+            walk(disconnected)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            walk(g)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_single_vertex(self):
         g = Graph()
@@ -297,8 +406,8 @@ class TestThreeWayAgreement:
 
     def test_full_grid(self):
         # the whole declared equivalence range plus every stage-3 wheel and
-        # two graphs of about 10^4 vertices or more; the largest is the
-        # 17,439-vertex cycle-3-2-6 (under 1 s of sparse elimination)
+        # four graphs of about 10^4 vertices or more; the largest is the
+        # 21,336-vertex wheel-5-2-4 (about 0.35 s of sparse elimination)
         grid = [
             (family, n, m, i)
             for family in Family
@@ -310,7 +419,9 @@ class TestThreeWayAgreement:
         grid += [
             (Family.CYCLE, 3, 2, 3),
             (Family.CYCLE, 3, 2, 6),
+            (Family.CYCLE, 5, 3, 4),
             (Family.WHEEL, 4, 2, 4),
+            (Family.WHEEL, 5, 2, 4),
         ]
         for family, n, m, i in grid:
             p = FractalParams(family, n, m, i)
