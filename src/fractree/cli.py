@@ -14,7 +14,14 @@ import sys
 from . import construct, clustering, sequences, spanning, verify
 from .errors import DomainViolationError, FractreeError, OverflowCapError, SizeCapError
 from .exact import decimal_str, factored_expand
-from .graph import blocks, degree_histogram, to_dot, to_edgelist_text, to_json_text
+from .graph import (
+    block_census,
+    degree_histogram,
+    format_block_census,
+    to_dot,
+    to_edgelist_text,
+    to_json_text,
+)
 from .params import Family, FractalParams
 
 EXIT_OK = 0
@@ -78,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     surf.add_argument("--out", help="output path (default: stdout)")
 
     ver = sub.add_parser("verify", help="run the cross-check suite")
-    ver.add_argument("--quick", action="store_true", help="trim the heavy oracle grid")
+    ver.add_argument("--quick", action="store_true", help="leave out the larger graphs")
     ver.add_argument("--json", dest="json_path", help="also write the JSON report here")
 
     return parser
@@ -177,8 +184,7 @@ def _cmd_invariants(args) -> int:
     lines = []
     if args.which == "entropy":
         params = _resolve_params(args, need_stage=False)
-        off = sequences.entropy_limit(params, args.iters, sequences.EntropyConvention.OFFSET_STAGE)
-        same = sequences.entropy_limit(params, args.iters, sequences.EntropyConvention.SAME_STAGE)
+        off, same = sequences.entropy_estimates(params, args.iters)
         lines.append(f"offset-stage: {_fmt10(off.value)} (delta {off.delta:.3e})")
         lines.append(f"same-stage: {_fmt10(same.value)} (delta {same.delta:.3e})")
         try:
@@ -213,18 +219,9 @@ def _cmd_invariants(args) -> int:
             lines.append(f"stage-{t} copies: {census.stage_counts[t]}")
         lines.append(f"central: {census.central}")
         predicted = construct.predicted_block_multiset(params)
-        lines.append(
-            "predicted blocks: "
-            + "; ".join(f"{k}x{v}" for k, v in sorted(predicted.items()))
-        )
-        g = construct.build(params)
-        actual = {}
-        for b in blocks(g):
-            actual[b.signature] = actual.get(b.signature, 0) + 1
-        lines.append(
-            "structural blocks: "
-            + "; ".join(f"{k}x{v}" for k, v in sorted(actual.items()))
-        )
+        lines.append(f"predicted blocks: {format_block_census(predicted)}")
+        actual = block_census(construct.build(params))
+        lines.append(f"structural blocks: {format_block_census(actual)}")
         lines.append(f"match: {actual == predicted}")
     else:  # degrees
         params = _resolve_params(args, need_stage=True)

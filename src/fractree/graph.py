@@ -250,6 +250,19 @@ def blocks(g: Graph) -> list:
     ]
 
 
+def block_census(g: Graph) -> dict:
+    """Number of blocks of each signature."""
+    out = {}
+    for b in blocks(g):
+        out[b.signature] = out.get(b.signature, 0) + 1
+    return out
+
+
+def format_block_census(census: dict) -> str:
+    """A signature -> count census as ``"<signature>x<count>; ..."``, sorted."""
+    return "; ".join(f"{k}x{v}" for k, v in sorted(census.items()))
+
+
 def _block_edges(g: Graph) -> list:
     """Sorted edge tuple of every biconnected component, by smallest edge."""
     out, _ = _block_walk(g)

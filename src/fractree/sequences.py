@@ -258,6 +258,23 @@ def _estimate(step: tuple, same_stage: bool, log_base: float, mult: int, log_m: 
 _ENTROPY_ITERS = 60
 
 
+def entropy_estimates(params: FractalParams, iters: int = _ENTROPY_ITERS) -> tuple:
+    """The (offset-stage, same-stage) entropy estimates, both from one pass
+    of the exact recurrences; :func:`entropy_limit` picks one of them."""
+    if iters < 2:
+        raise BadParameterError("iters must be >= 2")
+    base_count, mult = _entropy_terms(params.family, params.n)
+    terms = (math.log(base_count), mult, math.log(params.m))
+    *_, previous, last = _exponent_sums(params, iters)
+    out = []
+    for same, convention in ((False, EntropyConvention.OFFSET_STAGE),
+                             (True, EntropyConvention.SAME_STAGE)):
+        value = _estimate(last, same, *terms)
+        delta = value - _estimate(previous, same, *terms)
+        out.append(EntropyEstimate(value, convention.value, iters, delta))
+    return tuple(out)
+
+
 def entropy_limit(
     params: FractalParams,
     iters: int = _ENTROPY_ITERS,
@@ -269,18 +286,11 @@ def entropy_limit(
     is formed from exact ratios so arbitrarily deep iterations never
     overflow.
     """
-    if iters < 2:
-        raise BadParameterError("iters must be >= 2")
     convention = EntropyConvention(convention)
     if convention is EntropyConvention.CLOSED_FORM:
         raise BadParameterError("use entropy_closed for the closed form")
-    base_count, mult = _entropy_terms(params.family, params.n)
-    terms = (math.log(base_count), mult, math.log(params.m))
-    same = convention is EntropyConvention.SAME_STAGE
-    *_, previous, last = _exponent_sums(params, iters)
-    value = _estimate(last, same, *terms)
-    delta = value - _estimate(previous, same, *terms)
-    return EntropyEstimate(value, convention.value, iters, delta)
+    offset, same = entropy_estimates(params, iters)
+    return same if convention is EntropyConvention.SAME_STAGE else offset
 
 
 def entropy_closed(params: FractalParams) -> float:

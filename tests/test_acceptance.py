@@ -6,12 +6,13 @@ lines; the whole suite is exact except where a tolerance is stated.
 
 import random
 import time
+from ast import literal_eval
 from fractions import Fraction
 
 from fractree.clustering import average_clustering, clustering_closed
 from fractree.construct import base, build, ept, glv, predicted_block_multiset
-from fractree.exact import FactoredCount, bareiss_determinant, factored_expand
-from fractree.graph import blocks
+from fractree.exact import FactoredCount, bareiss_determinant
+from fractree.graph import block_census
 from fractree.params import Family, FractalParams
 from fractree.sequences import (
     EntropyConvention,
@@ -23,13 +24,10 @@ from fractree.sequences import (
 from fractree.spanning import (
     fibonacci_number,
     lucas_number,
-    tau_blocks,
     tau_closed,
     tau_oracle,
 )
-from fractree.verify import verify_suite
-
-from conftest import naive_determinant, random_connected_graph
+from fractree.verify import MATCH, naive_determinant, random_connected_graph
 
 
 def _report(criterion, text):
@@ -52,21 +50,27 @@ def test_criterion_1_table_reproduction():
     _report(1, f"published table i=1..4 reproduced exactly in {elapsed * 1000:.1f} ms")
 
 
-def test_criterion_2_oracle_equivalence_cycles():
+def _by_id(report) -> dict:
+    return {c.check_id: c for c in report.checks}
+
+
+def _three_way(checks, tag) -> float:
+    """Assert that the closed form, the matrix-tree count and the block
+    product agree for one graph; return the matrix-tree route's seconds,
+    which include the graph build."""
+    closed = checks[f"spanning/closed-vs-oracle/{tag}"]
+    blocks = checks[f"spanning/oracle-vs-blocks/{tag}"]
+    assert closed.verdict == blocks.verdict == MATCH, tag
+    assert closed.value_a == closed.value_b == blocks.value_b, tag
+    assert closed.seconds_b < 120.0, f"{tag}: determinant took {closed.seconds_b:.1f}s"
+    return closed.seconds_b
+
+
+def test_criterion_2_oracle_equivalence_cycles(full_report):
+    checks = _by_id(full_report)
     grid = [(n, m, i) for n in (3, 4, 5, 6) for m in (2, 3) for i in (1, 2)]
     grid.append((3, 2, 3))
-    worst = 0.0
-    for n, m, i in grid:
-        p = FractalParams(Family.CYCLE, n, m, i)
-        g = build(p)
-        closed = factored_expand(tau_closed(p))
-        t0 = time.perf_counter()
-        oracle = tau_oracle(g)
-        dt = time.perf_counter() - t0
-        worst = max(worst, dt)
-        assert dt < 120.0, f"{p}: determinant took {dt:.1f}s"
-        product = tau_blocks(g)
-        assert closed == oracle == product, f"{p}: {closed} vs {oracle} vs {product}"
+    worst = max(_three_way(checks, f"cycle-{n}-{m}-{i}") for n, m, i in grid)
     _report(
         2,
         f"{len(grid)} cycle instances agree across all three methods "
@@ -74,26 +78,16 @@ def test_criterion_2_oracle_equivalence_cycles():
     )
 
 
-def test_criterion_3_oracle_equivalence_wheels():
-    expected = {1: {45: 6, 2: 4}, 2: {45: 39, 2: 28}}
-    big_dt = 0.0
-    for i, factors in expected.items():
-        p = FractalParams(Family.WHEEL, 4, 2, i)
-        g = build(p)
-        closed = tau_closed(p)
-        assert closed == FactoredCount(factors)
-        t0 = time.perf_counter()
-        oracle = tau_oracle(g)
-        dt = time.perf_counter() - t0
-        if i == 2:
-            big_dt = dt
-            assert g.vertex_count == 221
-        assert dt < 120.0
-        assert factored_expand(closed) == oracle == tau_blocks(g)
+def test_criterion_3_oracle_equivalence_wheels(full_report):
+    checks = _by_id(full_report)
+    for i, factors in {1: {45: 6, 2: 4}, 2: {45: 39, 2: 28}}.items():
+        fixture = checks[f"arith/tau-closed-fixture/wheel-4-2-{i}"]
+        assert fixture.verdict == MATCH
+        assert fixture.value_a == str(FactoredCount(factors))
+    assert literal_eval(checks["construct/size-law/wheel-4-2-2"].value_a)[0] == 221
+    big_dt = max(_three_way(checks, f"wheel-{n}-2-{i}") for n, i in [(4, 1), (4, 2)])
     for n in (3, 5):
-        p = FractalParams(Family.WHEEL, n, 2, 1)
-        g = build(p)
-        assert factored_expand(tau_closed(p)) == tau_oracle(g) == tau_blocks(g)
+        _three_way(checks, f"wheel-{n}-2-1")
     _report(3, f"wheel counts 45^6*2^4 and 45^39*2^28 confirmed "
                f"(221-vertex determinant {big_dt:.2f}s); n=3,5 agree")
 
@@ -138,19 +132,18 @@ def test_criterion_5_entropy():
                f"in {elapsed * 1000:.1f} ms")
 
 
-def test_criterion_6_wheel_entropy_adjudication():
-    p = FractalParams(Family.WHEEL, 4, 2)
-    est = entropy_limit(p, 60)
-    assert abs(est.delta) < 1e-9
-    report = verify_suite("quick")
-    entry = next(
-        c for c in report.checks if c.check_id == "sequences/entropy-closed/wheel-4-2"
-    )
+def test_criterion_6_wheel_entropy_adjudication(full_report):
+    checks = _by_id(full_report)
+    converged = checks["sequences/entropy-convergence/wheel-4-2"]
+    assert converged.verdict == MATCH
+    assert float(converged.value_a) < 1e-9
+    entry = checks["sequences/entropy-closed/wheel-4-2"]
     assert entry.verdict == "informational"
     assert entry.value_a and entry.value_b and entry.difference
-    gap = abs(entropy_closed(p) - est.value)
-    _report(6, f"limit {est.value:.6f} converged (|delta|={abs(est.delta):.2e}); "
-               f"closed-form gap {gap:.4f} recorded as {entry.difference}")
+    _report(6, f"limit {float(entry.value_b):.6f} converged "
+               f"(|delta|={float(converged.value_a):.2e}); "
+               f"closed-form gap {abs(float(entry.difference)):.4f} recorded as "
+               f"{entry.difference}")
 
 
 def test_criterion_7_clustering():
@@ -172,29 +165,28 @@ def test_criterion_7_clustering():
                f"(authoritative) = formula, published {published} off by {direct - published}")
 
 
-def test_criterion_8_structural_census():
-    grid = [
+def test_criterion_8_structural_census(full_report):
+    checks = _by_id(full_report)
+    registered = [
         (Family.CYCLE, 3, 2, 1), (Family.CYCLE, 3, 2, 2), (Family.CYCLE, 3, 2, 3),
-        (Family.CYCLE, 4, 2, 2), (Family.CYCLE, 5, 2, 2), (Family.CYCLE, 3, 3, 2),
-        (Family.WHEEL, 3, 2, 2), (Family.WHEEL, 4, 2, 1), (Family.WHEEL, 4, 2, 2),
-        (Family.WHEEL, 5, 2, 1),
+        (Family.CYCLE, 4, 2, 2), (Family.CYCLE, 3, 3, 2), (Family.WHEEL, 3, 2, 2),
+        (Family.WHEEL, 4, 2, 2), (Family.WHEEL, 5, 2, 1),
     ]
-    for family, n, m, i in grid:
-        p = FractalParams(family, n, m, i)
-        actual = {}
-        for b in blocks(build(p)):
-            actual[b.signature] = actual.get(b.signature, 0) + 1
-        assert actual == predicted_block_multiset(p), f"{p}"
+    for family, n, m, i in registered:
+        check = checks[f"construct/block-census/{family.value}-{n}-{m}-{i}"]
+        assert check.verdict == MATCH, check.check_id
+    for p in (FractalParams(Family.CYCLE, 5, 2, 2), FractalParams(Family.WHEEL, 4, 2, 1)):
+        assert block_census(build(p)) == predicted_block_multiset(p), f"{p}"
     ms = predicted_block_multiset(FractalParams(Family.CYCLE, 3, 2, 2))
     assert ms == {("cycle", 12): 1, ("cycle", 6): 3, ("cycle", 3): 12}
-    _report(8, f"{len(grid)} block decompositions match the copy census; "
+    _report(8, f"{len(registered) + 2} block decompositions match the copy census; "
                f"stage-2 multiplicities are (1, 3, 12)")
 
 
 def test_criterion_9_property_suites():
     rng = random.Random(424242)
     for _ in range(30):
-        g = random_connected_graph(rng, min_extra=1)
+        g = random_connected_graph(rng, max_n=10, min_extra=1)
         m = rng.choice((2, 3))
         rank = g.edge_count - g.vertex_count + 1
         assert tau_oracle(ept(g, m)) == m**rank * tau_oracle(g)

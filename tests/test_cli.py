@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fractree import cli
+from fractree import cli, sequences
 
 
 def run_cli(*args):
@@ -199,6 +199,19 @@ class TestInvariants:
         assert "1.704656346" in r.stdout
         assert "0.396175978" in r.stdout
         assert r.stdout.count("1.704656346") == 2  # limit and closed form
+
+    def test_entropy_steps_the_recurrence_once(self, monkeypatch):
+        passes = []
+        original = sequences._exponent_sums
+
+        def counted(params, upto):
+            passes.append(upto)
+            return original(params, upto)
+
+        monkeypatch.setattr(sequences, "_exponent_sums", counted)
+        r = run_cli("invariants", "entropy", "wheel", "4", "3", "--iters", "400")
+        assert r.returncode == 0
+        assert passes == [400]
 
     def test_entropy_iters_flag(self):
         r = run_cli("invariants", "entropy", "wheel", "4", "2", "--iters", "30")

@@ -15,6 +15,7 @@ from fractree.errors import BadParameterError, InvalidVertexSetError, SizeCapErr
 from fractree.graph import (
     Graph,
     VertexRole,
+    block_census,
     blocks,
     degree_histogram,
     to_dot,
@@ -23,15 +24,7 @@ from fractree.graph import (
 )
 from fractree.params import Family, FractalParams
 from fractree.sequences import size_sequences
-
-from conftest import random_connected_graph
-
-
-def block_multiset(g):
-    out = {}
-    for b in blocks(g):
-        out[b.signature] = out.get(b.signature, 0) + 1
-    return out
+from fractree.verify import random_connected_graph
 
 
 class TestParams:
@@ -103,7 +96,7 @@ class TestEpt:
 
     def test_size_law_on_random_graphs(self, rng):
         for _ in range(30):
-            g = random_connected_graph(rng)
+            g = random_connected_graph(rng, max_n=10)
             m = rng.choice((2, 3, 4))
             sub = ept(g, m)
             assert sub.vertex_count == g.vertex_count + (m - 1) * g.edge_count
@@ -323,7 +316,7 @@ class TestCensus:
     )
     def test_blocks_match_prediction(self, family, n, m, i):
         p = FractalParams(family, n, m, i)
-        assert block_multiset(build(p)) == predicted_block_multiset(p)
+        assert block_census(build(p)) == predicted_block_multiset(p)
 
     def test_census_unfolds_to_prediction(self):
         for p in (
@@ -338,5 +331,5 @@ class TestCensus:
         # age-k blocks appear once per vertex of the stage-(i-k) graph
         p = FractalParams(Family.CYCLE, 3, 2, 2)
         u = size_sequences(p, 2).u
-        ms = block_multiset(build(p))
+        ms = block_census(build(p))
         assert ms == {("cycle", 3): u[2], ("cycle", 6): u[1], ("cycle", 12): u[0]}

@@ -15,8 +15,7 @@ from fractree.exact import (
     factored_expand,
     factored_log,
 )
-
-from conftest import naive_determinant
+from fractree.verify import naive_determinant
 
 
 class TestFactoredExpand:

@@ -8,6 +8,7 @@ from fractree.errors import BadParameterError, DomainViolationError
 from fractree.params import Family, FractalParams
 from fractree.sequences import (
     EntropyConvention,
+    entropy_estimates,
     _exponent_sums,
     QuadraticNumber,
     RecurrenceSpec,
@@ -184,6 +185,17 @@ class TestEntropyBitExact:
                 est = entropy_limit(p, iters, convention)
                 value, delta = reference_entropy_limit(p, iters, convention)
                 assert (est.value.hex(), est.delta.hex()) == (value.hex(), delta.hex())
+
+    @pytest.mark.parametrize("iters", [2, 60, 400])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_one_pass_pair_matches_fraction_reference(self, family, iters):
+        for n, m in [(3, 2), (4, 3), (7, 5), (9, 9)]:
+            p = FractalParams(family, n, m)
+            pair = entropy_estimates(p, iters)
+            for est, convention in zip(pair, list(EntropyConvention)[:2]):
+                value, delta = reference_entropy_limit(p, iters, convention)
+                assert (est.value.hex(), est.delta.hex()) == (value.hex(), delta.hex())
+                assert (est.method, est.iterations) == (convention.value, iters)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_surface_matches_fraction_reference(self, family):

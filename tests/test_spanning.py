@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractree import spanning
 from fractree.construct import base, build, ept, glv
 from fractree.errors import BadParameterError, DisconnectedGraphError, SizeCapError
 from fractree.exact import FactoredCount, bareiss_determinant, factored_expand
@@ -20,8 +21,7 @@ from fractree.spanning import (
     tau_oracle,
     tau_wheel_base,
 )
-
-from conftest import random_connected_graph
+from fractree.verify import random_connected_graph
 
 
 class TestLucasFibonacci:
@@ -152,13 +152,36 @@ class TestSparseKernel:
         assert _sparse_minor_determinant(g, 0) == dense
 
     def test_matches_dense_on_larger_random_graphs(self, rng):
-        # 30-60 vertices and up to about 3V edges: elimination fills in and
-        # the pivots carry large denominators
+        # 30-60 vertices and about 2V edges: elimination fills in and the
+        # pivots carry large denominators
         for _ in range(12):
             g = random_connected_graph(rng, max_n=60, min_n=30, density=2)
             omit = rng.randrange(g.vertex_count)
             dense = bareiss_determinant(laplacian_minor(g, omit))
             assert _sparse_minor_determinant(g, omit) == dense
+
+    def test_pairs_stay_reduced(self, rng, monkeypatch):
+        # Reducing by a divisor smaller than the full gcd leaves every pair
+        # correct but lets entries grow: watch the largest gcd argument
+        # against the Hadamard bound on the determinant, in bits
+        largest = 0
+
+        def spy(a, b):
+            nonlocal largest
+            largest = max(largest, a.bit_length(), b.bit_length())
+            return math.gcd(a, b)
+
+        monkeypatch.setattr(spanning, "gcd", spy)
+        for _ in range(12):
+            g = random_connected_graph(rng, max_n=60, min_n=30, density=3)
+            adj = g.adjacency
+            hadamard_bits = sum(
+                math.log2(len(adj[v]) ** 2 + sum(1 for w in adj[v] if w != 0)) / 2
+                for v in range(1, g.vertex_count)
+            )
+            largest = 0
+            assert tau_oracle(g) == bareiss_determinant(laplacian_minor(g, 0))
+            assert largest <= 3 * hadamard_bits
 
     def test_singular_minor_raises(self):
         # two components: the minor is singular, so a zero pivot appears
@@ -332,7 +355,7 @@ class TestTauClosed:
 class TestIdentities:
     def test_subdivision_identity(self, rng):
         for _ in range(30):
-            g = random_connected_graph(rng, min_extra=1)
+            g = random_connected_graph(rng, max_n=10, min_extra=1)
             m = rng.choice((2, 3))
             rank = g.edge_count - g.vertex_count + 1
             assert tau_oracle(ept(g, m)) == m**rank * tau_oracle(g)

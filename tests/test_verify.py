@@ -1,13 +1,19 @@
+import hashlib
 import json
+import time
 
 import pytest
 
+from fractree import construct, sequences, spanning, verify
 from fractree.verify import (
     ALLOWLIST,
     INFORMATIONAL,
     MATCH,
     MISMATCH,
-    _Suite,
+    Check,
+    DiscrepancyReport,
+    registry,
+    run_check,
     verify_suite,
 )
 
@@ -15,6 +21,65 @@ from fractree.verify import (
 @pytest.fixture(scope="module")
 def report():
     return verify_suite("quick")
+
+
+def _fields(c) -> tuple:
+    """Every field of a result except its timing."""
+    return (c.check_id, c.params, c.method_a, c.value_a, c.method_b, c.value_b,
+            c.verdict, c.difference, c.note)
+
+
+def _report_digest(report) -> tuple:
+    rows = sorted(_fields(c) for c in report.checks)
+    return len(rows), hashlib.sha256("\n".join("\t".join(r) for r in rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("level, count, digest", [
+    ("full", 139, "0de2003feb84a0100bf260808d173d4cf3c0d56423c7fdbc345364baf5e8bf49"),
+    ("quick", 114, "3a054cfceb283ca33edcf89585a4b438335fc5c08f120a1fda6100557df9f72a"),
+])
+def test_report_pinned(level, count, digest):
+    # every field of every check except timing, pinned
+    assert _report_digest(verify_suite(level)) == (count, digest)
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("check_id", [c.id for c in registry()])
+    def test_check_alone_matches_suite(self, check_id, full_report):
+        # a fresh registry, one check: no value may depend on which check
+        # ran first or on a loop variable bound late
+        (check,) = [c for c in registry() if c.id == check_id]
+        (in_suite,) = [c for c in full_report.checks if c.check_id == check_id]
+        assert _fields(run_check(check)) == _fields(in_suite)
+
+    def test_building_computes_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("building the registry computed a value")
+
+        for module, name in [(construct, "build"), (construct, "base"),
+                             (spanning, "tau_oracle"), (spanning, "tau_closed"),
+                             (sequences, "_exponent_sums"), (verify, "random_connected_graph")]:
+            monkeypatch.setattr(module, name, refuse)
+        checks = registry()
+        assert len(checks) == len({c.id for c in checks}) == 139
+        assert sum(c.level == "quick" for c in checks) == 114
+
+    def test_every_build_runs_inside_a_timed_route(self, monkeypatch):
+        builds = []
+        original = construct.build
+
+        def slow_build(*args, **kwargs):
+            builds.append(args)
+            time.sleep(0.01)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(construct, "build", slow_build)
+        slow = verify_suite("full")
+        assert builds
+        assert sum(c.seconds_a + c.seconds_b for c in slow.checks) >= 0.01 * len(builds)
+        for c in slow.to_json_dict()["checks"]:
+            routes = c["method_a"]["seconds"] + c["method_b"]["seconds"]
+            assert c["seconds"] == pytest.approx(routes, abs=2e-6)
 
 
 class TestSuiteOutcome:
@@ -71,6 +136,7 @@ class TestReportFormats:
             assert {"id", "params", "method_a", "method_b", "verdict",
                     "difference", "note", "seconds"} <= set(c)
             assert c["method_a"]["value"] != ""
+            assert {"name", "value", "seconds"} == set(c["method_b"])
         json.loads(report.to_json_text())  # valid JSON
 
     def test_table_lines(self, report):
@@ -83,29 +149,23 @@ class TestReportFormats:
         assert len(ids) == len(set(ids))
 
 
+def _run(check_id, a, b):
+    return run_check(Check(check_id, "x", "matrix-tree", lambda: a, "stated-m^n", lambda: b))
+
+
 class TestAllowlistMechanics:
     def test_known_mismatch_downgrades(self):
-        s = _Suite("quick")
-        s.exact(
-            "spanning/central-prose-step/wheel-4-2", "x",
-            "matrix-tree", 720, "stated-m^n", 16,
-        )
-        assert s.report.checks[0].verdict == INFORMATIONAL
-        assert s.report.checks[0].note
+        result = _run("spanning/central-prose-step/wheel-4-2", 720, 16)
+        assert result.verdict == INFORMATIONAL
+        assert result.note
 
     def test_new_value_stays_red(self):
-        s = _Suite("quick")
-        s.exact(
-            "spanning/central-prose-step/wheel-4-2", "x",
-            "matrix-tree", 721, "stated-m^n", 16,
-        )
-        assert s.report.checks[0].verdict == MISMATCH
-        assert s.report.exit_code == 1
+        result = _run("spanning/central-prose-step/wheel-4-2", 721, 16)
+        assert result.verdict == MISMATCH
+        assert DiscrepancyReport("quick", [result]).exit_code == 1
 
     def test_unlisted_id_stays_red(self):
-        s = _Suite("quick")
-        s.exact("spanning/some-new-check", "x", "a", 1, "b", 2)
-        assert s.report.checks[0].verdict == MISMATCH
+        assert _run("spanning/some-new-check", 1, 2).verdict == MISMATCH
 
     def test_allowlist_pins_both_sides(self):
         for entry in ALLOWLIST.values():
