@@ -43,7 +43,6 @@ from .exact import (
 )
 from .graph import (
     Block,
-    BlockKind,
     Graph,
     VertexInfo,
     VertexRole,
@@ -83,7 +82,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "average_clustering", "base", "bareiss_determinant", "binet_vertex",
-    "binet_vertex_fixed_constants", "Block", "BlockKind", "blocks", "build",
+    "binet_vertex_fixed_constants", "Block", "blocks", "build",
     "BadParameterError", "ClusteringReport", "clustering_closed", "copy_census",
     "CopyCensus", "degree_census_predicted", "degree_histogram",
     "DisconnectedGraphError", "DiscrepancyReport", "DomainViolationError",

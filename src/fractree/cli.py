@@ -41,17 +41,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_params(p, with_stage=True):
+    def add_params(p):
         p.add_argument("family_pos", nargs="?", metavar="FAMILY", help="cycle or wheel")
         p.add_argument("n_pos", nargs="?", type=int, metavar="N")
         p.add_argument("m_pos", nargs="?", type=int, metavar="M")
-        if with_stage:
-            p.add_argument("i_pos", nargs="?", type=int, metavar="I")
+        p.add_argument("i_pos", nargs="?", type=int, metavar="I")
         p.add_argument("--family", choices=["cycle", "wheel"])
         p.add_argument("-n", "--n", type=int, dest="n")
         p.add_argument("-m", "--m", type=int, dest="m")
-        if with_stage:
-            p.add_argument("-i", "--stage", type=int, dest="i")
+        p.add_argument("-i", "--stage", type=int, dest="i")
 
     gen = sub.add_parser("generate", help="build a graph and write it out")
     add_params(gen)
@@ -91,19 +89,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_params(args, need_stage: bool, default_stage=None) -> FractalParams:
+def _resolve_params(args, default_stage=None) -> FractalParams:
     family = args.family or args.family_pos
     n = args.n if args.n is not None else args.n_pos
     m = args.m if args.m is not None else args.m_pos
-    i = getattr(args, "i", None)
-    if i is None:
-        i = getattr(args, "i_pos", None)
+    i = args.i if args.i is not None else args.i_pos
     if family is None or n is None or m is None:
         raise _UsageError("family, n and m are required (positional or --family/--n/--m)")
     if i is None:
-        if need_stage and default_stage is None:
+        if default_stage is None:
             raise _UsageError("stage is required (positional or -i/--stage)")
-        i = default_stage if default_stage is not None else 0
+        i = default_stage
     try:
         family = Family(family)
     except ValueError:
@@ -123,7 +119,7 @@ def _emit(text: str, out_path) -> None:
 
 
 def _cmd_generate(args) -> int:
-    params = _resolve_params(args, need_stage=True, default_stage=0)
+    params = _resolve_params(args, default_stage=0)
     g = construct.build(params)
     if args.format == "edgelist":
         text = to_edgelist_text(g)
@@ -136,7 +132,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    params = _resolve_params(args, need_stage=True, default_stage=0)
+    params = _resolve_params(args, default_stage=0)
     results = {}
     if args.method in ("formula", "all"):
         results["formula"] = spanning.tau_closed(params)
@@ -183,7 +179,7 @@ def _fmt10(x) -> str:
 def _cmd_invariants(args) -> int:
     lines = []
     if args.which == "entropy":
-        params = _resolve_params(args, need_stage=False)
+        params = _resolve_params(args, default_stage=0)
         off, same = sequences.entropy_estimates(params, args.iters)
         lines.append(f"offset-stage: {_fmt10(off.value)} (delta {off.delta:.3e})")
         lines.append(f"same-stage: {_fmt10(same.value)} (delta {same.delta:.3e})")
@@ -192,7 +188,7 @@ def _cmd_invariants(args) -> int:
         except DomainViolationError as exc:
             lines.append(f"closed-form: not applicable ({exc})")
     elif args.which == "clustering":
-        params = _resolve_params(args, need_stage=True)
+        params = _resolve_params(args)
         report = clustering.average_clustering(construct.build(params))
         closed = clustering.clustering_closed(params)
         payload = report.to_json(closed_form=closed)
@@ -204,7 +200,7 @@ def _cmd_invariants(args) -> int:
             payload["published_match"] = published == report.average
         lines.append(json.dumps(payload, indent=2))
     elif args.which == "sizes":
-        params = _resolve_params(args, need_stage=True, default_stage=0)
+        params = _resolve_params(args, default_stage=0)
         seq = sequences.size_sequences(params, max(args.upto, params.i + 1))
         lines.append(f"u: {', '.join(map(decimal_str, seq.u))}")
         lines.append(f"e: {', '.join(map(decimal_str, seq.e))}")
@@ -213,7 +209,7 @@ def _cmd_invariants(args) -> int:
             f"{decimal_str(seq.e[params.i + 1])} edges"
         )
     elif args.which == "census":
-        params = _resolve_params(args, need_stage=True)
+        params = _resolve_params(args)
         census = construct.copy_census(params)
         for t in sorted(census.stage_counts, reverse=True):
             lines.append(f"stage-{t} copies: {census.stage_counts[t]}")
@@ -224,7 +220,7 @@ def _cmd_invariants(args) -> int:
         lines.append(f"structural blocks: {format_block_census(actual)}")
         lines.append(f"match: {actual == predicted}")
     else:  # degrees
-        params = _resolve_params(args, need_stage=True)
+        params = _resolve_params(args)
         predicted = clustering.degree_census_predicted(params)
         actual = degree_histogram(construct.build(params))
         lines.append(

@@ -206,15 +206,9 @@ def laplacian_minor(g: Graph, omit: int):
     return rows
 
 
-class BlockKind(str, Enum):
-    CYCLE = "cycle"
-    SUBDIVIDED_WHEEL = "subdivided_wheel"
-    OTHER = "other"
-
-
 @dataclass(frozen=True)
 class Block:
-    """One biconnected component, structurally classified.
+    """One biconnected component and its structural signature.
 
     ``signature`` is ("cycle", length) for a plain cycle block,
     ("wheel", n, path_length) for a wheel on n rim vertices whose every
@@ -224,18 +218,7 @@ class Block:
 
     vertices: tuple
     edges: tuple
-    kind: BlockKind
-    cycle_length: Optional[int] = None
-    wheel_order: Optional[int] = None
-    path_length: Optional[int] = None
-
-    @property
-    def signature(self) -> tuple:
-        if self.kind is BlockKind.CYCLE:
-            return ("cycle", self.cycle_length)
-        if self.kind is BlockKind.SUBDIVIDED_WHEEL:
-            return ("wheel", self.wheel_order, self.path_length)
-        return ("other",)
+    signature: tuple
 
 
 def blocks(g: Graph) -> list:
@@ -244,30 +227,62 @@ def blocks(g: Graph) -> list:
     Every edge lands in exactly one block; blocks are returned sorted by
     their smallest edge for determinism.
     """
+    edge_lists, sizes = _block_walk(g)
+    # a block with as many edges as vertices is a cycle, as in block_census;
+    # the edge lists are disjoint, so the sort never compares sizes
     return [
-        _classify_block(tuple(sorted({x for edge in edges for x in edge})), edges)
-        for edges in _block_edges(g)
+        Block(tuple(sorted({x for edge in edges for x in edge})), tuple(edges),
+              ("cycle", size) if len(edges) == size else _classify_block(edges))
+        for edges, size in sorted(zip(edge_lists, sizes))
     ]
 
 
+def block_shapes(g: Graph) -> Counter:
+    """Number of biconnected blocks of each exact shape, keyed by shape.
+
+    A block with as many edges as vertices is a cycle, and all cycles of
+    one length are isomorphic, so its key is its length.  Any other
+    block's key is its edge list relabelled in order of first appearance,
+    so equal keys mean the same labelled graph.  Isomorphic blocks may
+    still get different keys, which costs time but not exactness.
+    """
+    edge_lists, sizes = _block_walk(g)
+    shapes = Counter()
+    for edges, size in zip(edge_lists, sizes):
+        if len(edges) == size:
+            shapes[size] += 1
+        else:
+            label = {}
+            shapes[tuple(
+                (label.setdefault(u, len(label)), label.setdefault(v, len(label)))
+                for u, v in edges
+            )] += 1
+    return shapes
+
+
+def shape_edges(key) -> tuple:
+    """One block with the :func:`block_shapes` key ``key``, as its edges."""
+    if isinstance(key, int):
+        return tuple((k, (k + 1) % key) for k in range(key))
+    return key
+
+
 def block_census(g: Graph) -> dict:
-    """Number of blocks of each signature."""
+    """Number of blocks of each signature.
+
+    One representative of each :func:`block_shapes` key is classified, and
+    the counts of keys with equal signatures are added up.
+    """
     out = {}
-    for b in blocks(g):
-        out[b.signature] = out.get(b.signature, 0) + 1
+    for key, count in block_shapes(g).items():
+        signature = ("cycle", key) if isinstance(key, int) else _classify_block(key)
+        out[signature] = out.get(signature, 0) + count
     return out
 
 
 def format_block_census(census: dict) -> str:
     """A signature -> count census as ``"<signature>x<count>; ..."``, sorted."""
     return "; ".join(f"{k}x{v}" for k, v in sorted(census.items()))
-
-
-def _block_edges(g: Graph) -> list:
-    """Sorted edge tuple of every biconnected component, by smallest edge."""
-    out, _ = _block_walk(g)
-    out.sort()
-    return list(map(tuple, out))
 
 
 def _block_walk(g: Graph) -> tuple:
@@ -346,20 +361,20 @@ def _block_walk(g: Graph) -> tuple:
             gc.enable()
 
 
-def _classify_block(vertices: tuple, edges: tuple) -> Block:
-    # a biconnected graph with as many edges as vertices is one cycle
-    if len(edges) == len(vertices):
-        return Block(vertices, edges, BlockKind.CYCLE, cycle_length=len(vertices))
-
-    adj = {v: [] for v in vertices}
+def _classify_block(edges) -> tuple:
+    """The :class:`Block` signature of a biconnected block's edge list."""
+    adj = {}
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    # a biconnected graph with as many edges as vertices is one cycle
+    if len(edges) == len(adj):
+        return ("cycle", len(adj))
     degs = {v: len(nb) for v, nb in adj.items()}
 
     branch = sorted(v for v, d in degs.items() if d >= 3)
     if not branch or any(d < 2 for d in degs.values()):
-        return Block(vertices, edges, BlockKind.OTHER)
+        return ("other",)
 
     # Contract degree-2 chains between branch vertices; a uniform chain
     # length plus a wheel-shaped contraction identifies a subdivided wheel.
@@ -380,13 +395,13 @@ def _classify_block(vertices: tuple, edges: tuple) -> Block:
 
     lengths = {length for _, _, length in chains}
     if len(lengths) != 1:
-        return Block(vertices, edges, BlockKind.OTHER)
+        return ("other",)
     path_length = lengths.pop()
 
     contracted = {v: set() for v in branch}
     for a, b, _ in chains:
         if a == b or b in contracted[a]:
-            return Block(vertices, edges, BlockKind.OTHER)  # loop or parallel chain
+            return ("other",)  # loop or parallel chain
         contracted[a].add(b)
         contracted[b].add(a)
 
@@ -399,14 +414,8 @@ def _classify_block(vertices: tuple, edges: tuple) -> Block:
             if all(len(contracted[r] - {hub}) == 2 for r in rim) and _is_single_cycle(
                 {r: contracted[r] - {hub} for r in rim}
             ):
-                return Block(
-                    vertices,
-                    edges,
-                    BlockKind.SUBDIVIDED_WHEEL,
-                    wheel_order=k - 1,
-                    path_length=path_length,
-                )
-    return Block(vertices, edges, BlockKind.OTHER)
+                return ("wheel", k - 1, path_length)
+    return ("other",)
 
 
 def _is_single_cycle(adj: dict) -> bool:

@@ -12,22 +12,22 @@ Both graph routes take the determinant by sparse exact elimination of the
 reduced Laplacian straight from adjacency lists, in greedy minimum-degree
 order, which keeps fill near zero on these planar, mostly degree-2 and
 degree-3 graphs.  Entries are reduced integer (numerator, denominator)
-pairs, not ``Fraction`` objects.  The block product groups blocks by an
-exact shape key and eliminates each distinct shape once.  The dense
-fraction-free route (:func:`~fractree.exact.bareiss_determinant` of
+pairs, not ``Fraction`` objects.  The block product eliminates each
+distinct shape of :func:`~fractree.graph.block_shapes` once, where the
+shape keys are documented.  The dense fraction-free route
+(:func:`~fractree.exact.bareiss_determinant` of
 :func:`~fractree.graph.laplacian_minor`) stays as the reference it is
 checked against.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import BadParameterError, DisconnectedGraphError, SizeCapError
 from .exact import FactoredCount
-from .graph import Graph, _block_walk
+from .graph import Graph, block_shapes, shape_edges
 from .params import Family, FractalParams
 from .sequences import _exponent_sums
 
@@ -159,29 +159,14 @@ def tau_oracle(g: Graph, max_vertices: int = DEFAULT_ORACLE_MAX_VERTICES) -> int
 def tau_blocks(g: Graph) -> int:
     """Spanning-tree count as the product over biconnected blocks.
 
-    Blocks are not classified: each is reduced to an exact shape key, and
-    every distinct shape is eliminated once and raised to the number of
-    blocks that have it.  A block with as many edges as vertices is a
-    cycle, and all cycles of one length are isomorphic, so its key is its
-    length.  Any other block's key is its edge list relabelled in order of
-    first appearance, so equal keys mean the same labelled graph.
+    Blocks are not classified: each distinct shape of
+    :func:`~fractree.graph.block_shapes` is eliminated once and raised to
+    the number of blocks that have it.
     """
-    edge_lists, sizes = _block_walk(g)
-    shapes = Counter()
-    for edges, size in zip(edge_lists, sizes):
-        if len(edges) == size:
-            shapes[size] += 1
-        else:
-            label = {}
-            shapes[tuple(
-                (label.setdefault(u, len(label)), label.setdefault(v, len(label)))
-                for u, v in edges
-            )] += 1
     result = 1
-    for key, count in shapes.items():
-        edges = [(k, (k + 1) % key) for k in range(key)] if isinstance(key, int) else key
+    for key, count in block_shapes(g).items():
         adj = {}
-        for u, v in edges:
+        for u, v in shape_edges(key):
             adj.setdefault(u, []).append(v)
             adj.setdefault(v, []).append(u)
         result *= _reduced_laplacian_determinant(adj) ** count

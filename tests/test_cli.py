@@ -246,9 +246,14 @@ class TestInvariants:
         assert d["published"] == "815/1932"
         assert d["published_match"] is False
 
-    def test_clustering_requires_stage(self):
-        r = run_cli("invariants", "clustering", "cycle", "3", "2")
-        assert r.returncode == 2
+    @pytest.mark.parametrize("which", ["clustering", "census", "degrees"])
+    def test_clustering_requires_stage(self, which):
+        assert_clean_error(run_cli("invariants", which, "cycle", "3", "2"), 2)
+
+    def test_entropy_defaults_to_stage_zero(self):
+        r = run_cli("invariants", "entropy", "cycle", "3", "2")
+        assert r.returncode == 0
+        assert r.stdout == run_cli("invariants", "entropy", "cycle", "3", "2", "0").stdout
 
     def test_sizes(self):
         r = run_cli("invariants", "sizes", "cycle", "3", "2", "-i", "2", "--upto", "5")

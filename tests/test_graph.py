@@ -1,14 +1,18 @@
 import json
 from array import array
+from collections import Counter
 
 import pytest
 
+from fractree import graph
 from fractree.construct import base, build, ept
 from fractree.errors import DisconnectedGraphError, InvalidVertexError
 from fractree.graph import (
     Graph,
     VertexInfo,
     VertexRole,
+    block_census,
+    block_shapes,
     blocks,
     degree_histogram,
     laplacian_minor,
@@ -252,6 +256,38 @@ class TestBlocks:
         assert sum(hist.values()) == g.vertex_count == 4053
         assert sum(d * c for d, c in hist.items()) == 2 * g.edge_count
         assert sum(len(b.edges) for b in blocks(g)) == g.edge_count
+
+
+class TestBlockCensus:
+    """The per-shape census against one classification per block."""
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("n,m", [(n, m) for n in (3, 4, 5) for m in (2, 3)])
+    def test_family_graphs(self, family, n, m):
+        # n = 3 wheels are subdivided K_4, where every branch vertex is a hub
+        for i in range(5):
+            g = build(FractalParams(family, n, m, i))
+            assert block_census(g) == Counter(b.signature for b in blocks(g)), f"i={i}"
+
+    def test_relabelled_copies(self, glued_graphs):
+        # other shapes and bridges, each repeated under new vertex ids
+        for g in glued_graphs:
+            assert block_census(g) == Counter(b.signature for b in blocks(g))
+
+    @pytest.mark.parametrize("family,n,m,i", [(Family.CYCLE, 3, 2, 5), (Family.WHEEL, 4, 2, 3)])
+    def test_classifies_each_shape_once(self, monkeypatch, family, n, m, i):
+        g = build(FractalParams(family, n, m, i))
+        calls = []
+        original = graph._classify_block
+
+        def spy(edges):
+            calls.append(edges)
+            return original(edges)
+
+        monkeypatch.setattr(graph, "_classify_block", spy)
+        block_census(g)
+        assert len(set(calls)) == len(calls)
+        assert len(calls) <= sum(not isinstance(key, int) for key in block_shapes(g))
 
 
 class TestSerialization:

@@ -201,42 +201,6 @@ def _plain_block_product(g: Graph) -> int:
     return result
 
 
-def _biconnected_piece(rng) -> list:
-    """Edges of a random Hamiltonian cycle plus chords on 3-7 vertices."""
-    n = rng.randint(3, 7)
-    edges = {(k, k + 1) for k in range(n - 1)} | {(0, n - 1)}
-    for _ in range(rng.randint(0, n)):
-        u, v = sorted(rng.sample(range(n), 2))
-        edges.add((u, v))
-    return sorted(edges)
-
-
-def _glued_copies(rng, pieces: list, copies: int) -> Graph:
-    """Randomly relabelled copies of ``pieces`` glued at cut vertices into
-    one connected graph with shuffled vertex ids."""
-    edges = []
-    size = 1
-    for _ in range(copies):
-        piece = rng.choice(pieces)
-        n = 1 + max(v for e in piece for v in e)
-        order = list(range(n))
-        rng.shuffle(order)
-        # the piece's first vertex in shuffled order lands on an existing one
-        ids = {order[0]: rng.randrange(size)}
-        for k in order[1:]:
-            ids[k] = size
-            size += 1
-        edges += [(ids[u], ids[v]) for u, v in piece]
-    perm = list(range(size))
-    rng.shuffle(perm)
-    g = Graph()
-    for _ in range(size):
-        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-    for u, v in edges:
-        g.add_edge(perm[u], perm[v])
-    return g.freeze()
-
-
 class TestTauBlocks:
     def test_two_triangles(self):
         g = Graph()
@@ -259,10 +223,8 @@ class TestTauBlocks:
             g = random_connected_graph(rng, max_n=9)
             assert tau_blocks(g) == tau_oracle(g)
 
-    def test_repeated_shapes_match_plain_product(self, rng):
-        for _ in range(10):
-            pieces = [_biconnected_piece(rng) for _ in range(3)] + [[(0, 1)]]
-            g = _glued_copies(rng, pieces, rng.randint(8, 30))
+    def test_repeated_shapes_match_plain_product(self, glued_graphs):
+        for g in glued_graphs:
             assert tau_blocks(g) == _plain_block_product(g) == tau_oracle(g)
 
     def test_cycles_of_several_lengths(self):
