@@ -8,6 +8,7 @@ runs on the same inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -34,6 +35,7 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fractree",
@@ -69,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "which", choices=["entropy", "clustering", "sizes", "census", "degrees"]
     )
     add_params(inv)
-    inv.add_argument("--iters", type=int, default=60, help="entropy iterations")
-    inv.add_argument("--upto", type=int, default=10, help="sizes: highest index")
+    inv.add_argument("--iters", type=int, help="entropy: iterations (default 60)")
+    inv.add_argument("--upto", type=int, help="sizes: highest index (default 10)")
     inv.add_argument("--out", help="output path (default: stdout)")
 
     surf = sub.add_parser("surface", help="entropy surface as CSV over (n, m) ranges")
@@ -177,10 +179,18 @@ def _fmt10(x) -> str:
 
 
 def _cmd_invariants(args) -> int:
+    # entropy is a limit over all stages, so it takes none but the default 0
+    if args.which == "entropy" and (args.i or args.i_pos):
+        raise _UsageError("invariants entropy is a limit over all stages and takes no stage")
+    if args.iters is not None and args.which != "entropy":
+        raise _UsageError("--iters applies only to invariants entropy")
+    if args.upto is not None and args.which != "sizes":
+        raise _UsageError("--upto applies only to invariants sizes")
     lines = []
     if args.which == "entropy":
         params = _resolve_params(args, default_stage=0)
-        off, same = sequences.entropy_estimates(params, args.iters)
+        iters = 60 if args.iters is None else args.iters
+        off, same = sequences.entropy_estimates(params, iters)
         lines.append(f"offset-stage: {_fmt10(off.value)} (delta {off.delta:.3e})")
         lines.append(f"same-stage: {_fmt10(same.value)} (delta {same.delta:.3e})")
         try:
@@ -201,7 +211,8 @@ def _cmd_invariants(args) -> int:
         lines.append(json.dumps(payload, indent=2))
     elif args.which == "sizes":
         params = _resolve_params(args, default_stage=0)
-        seq = sequences.size_sequences(params, max(args.upto, params.i + 1))
+        upto = 10 if args.upto is None else args.upto
+        seq = sequences.size_sequences(params, max(upto, params.i + 1))
         lines.append(f"u: {', '.join(map(decimal_str, seq.u))}")
         lines.append(f"e: {', '.join(map(decimal_str, seq.e))}")
         lines.append(

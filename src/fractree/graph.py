@@ -227,36 +227,39 @@ def blocks(g: Graph) -> list:
     Every edge lands in exactly one block; blocks are returned sorted by
     their smallest edge for determinism.
     """
-    edge_lists, sizes = _block_walk(g)
-    # a block with as many edges as vertices is a cycle, as in block_census;
-    # the edge lists are disjoint, so the sort never compares sizes
-    return [
-        Block(tuple(sorted({x for edge in edges for x in edge})), tuple(edges),
-              ("cycle", size) if len(edges) == size else _classify_block(edges))
-        for edges, size in sorted(zip(edge_lists, sizes))
-    ]
+    out = []
+    for head, members in _block_walk(g):
+        ids = [head, *members]
+        edges = tuple(sorted((ids[a], ids[b]) if ids[a] < ids[b] else (ids[b], ids[a])
+                             for a, b in _block_edges(g._adj, head, members)))
+        # a block with as many edges as vertices is a cycle, as in block_census
+        out.append(Block(tuple(sorted(ids)), edges, ("cycle", len(ids))
+                         if len(edges) == len(ids) else _classify_block(edges)))
+    return sorted(out, key=lambda b: b.edges[0])
 
 
 def block_shapes(g: Graph) -> Counter:
     """Number of biconnected blocks of each exact shape, keyed by shape.
 
-    A block with as many edges as vertices is a cycle, and all cycles of
-    one length are isomorphic, so its key is its length.  Any other
-    block's key is its edge list relabelled in order of first appearance,
-    so equal keys mean the same labelled graph.  Isomorphic blocks may
-    still get different keys, which costs time but not exactness.
+    All cycles of one length are isomorphic, so a cycle's key is its
+    length.  ``free[x]`` is x's degree less its edges in closed blocks
+    headed at x, and a block closes after every block headed at one of its
+    members.  So it is a cycle exactly when its members' ``free`` add up to
+    2 each: none has fewer in a biconnected block, and a bridge's one
+    member has 1.  Any other block's key is its :func:`_block_edges`, so
+    equal keys mean the same labelled graph.  Isomorphic blocks may still
+    get different keys, which costs time but not exactness.
     """
-    edge_lists, sizes = _block_walk(g)
+    free = list(map(len, g._adj))
     shapes = Counter()
-    for edges, size in zip(edge_lists, sizes):
-        if len(edges) == size:
-            shapes[size] += 1
+    for head, members in _block_walk(g):
+        if sum(map(free.__getitem__, members)) == 2 * len(members):
+            shapes[len(members) + 1] += 1
+            free[head] -= 2
         else:
-            label = {}
-            shapes[tuple(
-                (label.setdefault(u, len(label)), label.setdefault(v, len(label)))
-                for u, v in edges
-            )] += 1
+            pairs = _block_edges(g._adj, head, members)
+            shapes[tuple(pairs)] += 1
+            free[head] -= sum(not a for a, _ in pairs)
     return shapes
 
 
@@ -285,16 +288,14 @@ def format_block_census(census: dict) -> str:
     return "; ".join(f"{k}x{v}" for k, v in sorted(census.items()))
 
 
-def _block_walk(g: Graph) -> tuple:
-    """Ascending edge list and vertex count of every biconnected component,
-    in the order the blocks close.
+def _block_walk(g: Graph) -> list:
+    """``(head, members)`` of every biconnected component, in post-order:
+    blocks headed at a member close before the member's own block.
 
     Iterative Hopcroft-Tarjan, so large graphs cannot exhaust the
     recursion limit.  It keeps a stack of vertices rather than edges: when a child
-    v closes a block under its parent, the vertices found since v are that
-    block's non-head members.  Each edge then joins the block of its
-    endpoint discovered later, and one ascending sweep over the edges
-    fills every block already in sorted order.  The edge back to a
+    v closes a block under its parent u, u is its head and the vertices
+    found since v, in discovery order, are its members.  The edge back to a
     vertex's parent may lower its ``low`` to the parent's discovery time,
     which changes no ``low[v] >= disc[u]`` test, so it is not skipped.
     Cyclic garbage collection is paused for the walk: its many small
@@ -303,17 +304,16 @@ def _block_walk(g: Graph) -> tuple:
     adj = g._adj
     n = len(adj)
     if n <= 1:
-        return [], []
+        return []
 
     enabled = gc.isenabled()
     gc.disable()
     try:
         disc = [0] * n  # discovery time from 1; 0 while unvisited
         low = [0] * n
-        block = [0] * n  # block holding the edge from a vertex to its parent
         depth = [0] * n  # where a vertex sits in `pending`
         pending = []
-        sizes = []  # vertex count of each closed block, its head included
+        out = []
 
         disc[0] = low[0] = 1
         timer = 2
@@ -339,26 +339,26 @@ def _block_walk(g: Graph) -> tuple:
                     u = path[-1]
                     if low[v] >= disc[u]:
                         k = depth[v]
-                        count = len(sizes)
-                        for x in pending[k:]:
-                            block[x] = count
-                        sizes.append(len(pending) - k + 1)
+                        out.append((u, pending[k:]))
                         del pending[k:]
                     elif low[v] < low[u]:
                         low[u] = low[v]
         if timer <= n:
             raise DisconnectedGraphError("block decomposition requires a connected graph")
-
-        out = [[] for _ in sizes]
-        for u, nb in enumerate(adj):
-            du, bu = disc[u], block[u]
-            for v in nb:
-                if v > u:
-                    out[bu if du > disc[v] else block[v]].append((u, v))
-        return out, sizes
+        return out
     finally:
         if enabled:
             gc.enable()
+
+
+def _block_edges(adj, head, members) -> list:
+    """A block's edges as label pairs (a, b), a < b, with the head labelled
+    0 and the members 1, 2, ... in order: for each member b, its
+    neighbours a < b in adjacency order.  Two blocks share at most one
+    vertex, so the edges among a block's vertices are exactly its edges.
+    """
+    label = {x: k for k, x in enumerate((head, *members))}
+    return [(a, b) for b, x in enumerate(members, 1) for y in adj[x] if (a := label.get(y, b)) < b]
 
 
 def _classify_block(edges) -> tuple:

@@ -37,6 +37,18 @@ def assert_clean_error(r, code):
     assert "Traceback" not in r.stderr
 
 
+class TestParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_state_carries_between_calls(self):
+        r = run_cli("count", "cycle", "3", "2", "2", "--json")
+        assert json.loads(r.stdout)["formula"]["decimal"]
+        r = run_cli("count", "cycle", "3", "2", "2")
+        assert r.returncode == 0
+        assert r.stdout.startswith("formula: ")
+
+
 class TestGenerate:
     def test_edgelist_line_count(self):
         r = run_cli("generate", "--family", "cycle", "-n", "3", "-m", "2", "-i", "1",
@@ -254,6 +266,22 @@ class TestInvariants:
         r = run_cli("invariants", "entropy", "cycle", "3", "2")
         assert r.returncode == 0
         assert r.stdout == run_cli("invariants", "entropy", "cycle", "3", "2", "0").stdout
+
+    @pytest.mark.parametrize("args", [
+        ["entropy", "cycle", "3", "2", "7"],
+        ["entropy", "cycle", "3", "2", "--stage", "7"],
+        ["entropy", "cycle", "3", "2", "--upto", "5"],
+        ["sizes", "cycle", "3", "2", "--iters", "5"],
+        ["clustering", "cycle", "3", "2", "1", "--upto", "5", "--iters", "9"],
+        ["clustering", "cycle", "3", "2", "1", "--upto", "5"],
+        ["census", "cycle", "3", "2", "1", "--iters", "5"],
+        ["degrees", "cycle", "3", "2", "1", "--upto", "5"],
+    ], ids="_".join)
+    def test_rejects_ignored_options(self, args):
+        r = run_cli("invariants", *args)
+        assert_clean_error(r, 2)
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stdout == ""
 
     def test_sizes(self):
         r = run_cli("invariants", "sizes", "cycle", "3", "2", "-i", "2", "--upto", "5")

@@ -1,6 +1,8 @@
 import json
+import random
 from array import array
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -22,6 +24,8 @@ from fractree.graph import (
     to_json_text,
 )
 from fractree.params import Family, FractalParams
+from fractree.spanning import tau_blocks, tau_oracle
+from fractree.verify import random_connected_graph
 
 
 def _cycle(n):
@@ -30,6 +34,15 @@ def _cycle(n):
         g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
     for k in range(n):
         g.add_edge(k, (k + 1) % n)
+    return g.freeze()
+
+
+def _from_edges(edges):
+    g = Graph()
+    for _ in range(1 + max(v for e in edges for v in e)):
+        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
+    for u, v in edges:
+        g.add_edge(u, v)
     return g.freeze()
 
 
@@ -288,6 +301,76 @@ class TestBlockCensus:
         block_census(g)
         assert len(set(calls)) == len(calls)
         assert len(calls) <= sum(not isinstance(key, int) for key in block_shapes(g))
+
+
+# triangle 0-1-2 with each vertex the head of its own K_4
+_TRIANGLE_OF_K4S = [(0, 1), (1, 2), (0, 2), *combinations((0, 3, 4, 5), 2),
+                    *combinations((1, 6, 7, 8), 2), *combinations((2, 9, 10, 11), 2)]
+
+
+class TestFreeEdgeCycleTest:
+    """block_shapes finds a cycle from free-edge counts alone.  A slip in
+    that bookkeeping still counts exactly, since the determinant of any
+    key is exact; it shows only as a cycle block keyed by its edges."""
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in (3, 4, 5) for m in (2, 3)])
+    def test_cycle_family_keys_are_lengths(self, n, m):
+        for i in range(5):
+            g = build(FractalParams(Family.CYCLE, n, m, i))
+            shapes = block_shapes(g)
+            assert all(isinstance(key, int) for key in shapes), f"i={i}"
+            assert shapes == Counter(len(b.vertices) for b in blocks(g)), f"i={i}"
+
+    @pytest.mark.parametrize("edges,cycles,others", [
+        ([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)], {3: 1}, 3),  # pendant path
+        ([(0, 1)], {}, 1),  # single edge
+        ([(2, 0), (2, 1), (2, 3), (2, 4), (2, 5)], {}, 5),  # star
+        ([(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1)], {}, 1),  # theta
+        ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)], {}, 1),  # cycle with a chord
+        (_TRIANGLE_OF_K4S, {3: 1}, 3),
+    ], ids=["pendant-path", "edge", "star", "theta", "chord", "triangle-of-k4s"])
+    def test_only_cycles_get_int_keys(self, edges, cycles, others):
+        g = _from_edges(edges)
+        shapes = block_shapes(g)
+        assert {k: c for k, c in shapes.items() if isinstance(k, int)} == cycles
+        assert sum(c for k, c in shapes.items() if not isinstance(k, int)) == others
+        assert tau_blocks(g) == tau_oracle(g)
+
+
+def _networkx_blocks(g, nx):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_edges_from(g.edges())
+    return sorted(sorted(tuple(sorted(e)) for e in c) for c in nx.biconnected_component_edges(h))
+
+
+def _assert_blocks_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    out = blocks(g)
+    assert sorted(list(b.edges) for b in out) == _networkx_blocks(g, nx)
+    assert sum(block_shapes(g).values()) == len(out)
+    assert block_census(g) == Counter(b.signature for b in out)
+
+
+class TestBlocksAgainstNetworkx:
+    """A third implementation of biconnected components, for tests only."""
+
+    def test_random_graphs(self):
+        rng = random.Random(20240817)
+        for k in range(200):
+            g = random_connected_graph(rng, max_n=rng.randint(2, 30), density=1 + k % 2)
+            _assert_blocks_match_networkx(g)
+
+    def test_relabelled_copies(self, glued_graphs):
+        for g in glued_graphs:
+            _assert_blocks_match_networkx(g)
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_family_graphs(self, family):
+        for n in (3, 4, 5):
+            for m in (2, 3):
+                for i in range(4):
+                    _assert_blocks_match_networkx(build(FractalParams(family, n, m, i)))
 
 
 class TestSerialization:
