@@ -10,10 +10,13 @@ Vertex ids are assigned in a fixed documented order (path interiors in
 ascending edge order, then fresh copies in ascending host order, rim
 before hub) so that repeated builds are byte-identical.
 
-:func:`build` makes each round in one pass straight into the frozen
-layout of :class:`~fractree.graph.Graph`.  :func:`ept` and :func:`glv`
-are the two growth operations written out one edge at a time; they are
-the reference that the one-pass build must reproduce id for id.
+:func:`build` makes each round in one pass straight into the layout that
+:meth:`Graph.from_layout <fractree.graph.Graph.from_layout>` takes as it
+is.  :func:`base`, :func:`ept` and :func:`glv` instead collect role codes,
+births and edges one edge at a time and hand them to the validating
+:meth:`Graph.from_edges <fractree.graph.Graph.from_edges>`; :func:`ept`
+and :func:`glv` are the reference that the one-pass build must reproduce
+id for id.
 """
 
 from __future__ import annotations
@@ -52,15 +55,29 @@ def base(family: Family, n: int) -> Graph:
     if not isinstance(n, int) or n < 3:
         raise BadParameterError(f"base graph needs n >= 3, got {n!r}")
     family = Family(family)
-    g = Graph()
-    rim = [g.add_vertex(VertexRole.ORIGINAL_BASE, 0) for _ in range(n)]
-    for k in range(n):
-        g.add_edge(rim[k], rim[(k + 1) % n])
+    roles = bytearray([ROLE_CODE[VertexRole.ORIGINAL_BASE]]) * n
+    edges = [(k, (k + 1) % n) for k in range(n)]
     if family is Family.WHEEL:
-        hub = g.add_vertex(VertexRole.BASE_HUB, 0)
-        for v in rim:
-            g.add_edge(hub, v)
-    return g.freeze()
+        roles.append(ROLE_CODE[VertexRole.BASE_HUB])
+        edges += [(n, v) for v in range(n)]
+    return Graph.from_edges(roles, array("i", [0]) * len(roles), edges)
+
+
+def _vertex_lists(g: Graph, birth: int | None):
+    """g's role codes and births as growable copies, and a function that
+    appends one vertex of a given role code, born at ``birth`` (by default
+    one stage after g's latest), and returns its id."""
+    roles = bytearray(g._roles)
+    births = array("i", g._births)
+    if birth is None:
+        birth = max(births, default=0) + 1
+
+    def new_vertex(code: int) -> int:
+        roles.append(code)
+        births.append(birth)
+        return len(roles) - 1
+
+    return roles, births, new_vertex
 
 
 def ept(g: Graph, m: int, birth: int | None = None) -> Graph:
@@ -71,19 +88,16 @@ def ept(g: Graph, m: int, birth: int | None = None) -> Graph:
     """
     if not isinstance(m, int) or m < 2:
         raise BadParameterError(f"path length m must be >= 2, got {m!r}")
-    if birth is None:
-        birth = max((info.birth for info in g.vertices), default=0) + 1
-    out = Graph()
-    for info in g.vertices:
-        out.add_vertex(info.role, info.birth)
+    roles, births, new_vertex = _vertex_lists(g, birth)
+    edges = []
     for u, v in g.edges():
         prev = u
         for _ in range(m - 1):
-            w = out.add_vertex(VertexRole.PATH_INTERIOR, birth)
-            out.add_edge(prev, w)
+            w = new_vertex(_PATH_INTERIOR)
+            edges.append((prev, w))
             prev = w
-        out.add_edge(prev, v)
-    return out.freeze()
+        edges.append((prev, v))
+    return Graph.from_edges(roles, births, edges)
 
 
 def glv(g: Graph, family: Family, n: int, eligible, birth: int | None = None) -> Graph:
@@ -96,26 +110,19 @@ def glv(g: Graph, family: Family, n: int, eligible, birth: int | None = None) ->
     if not isinstance(n, int) or n < 3:
         raise BadParameterError(f"attachment needs n >= 3, got {n!r}")
     family = Family(family)
-    eligible = sorted(set(eligible))
-    if eligible and not (0 <= eligible[0] and eligible[-1] < g.vertex_count):
-        raise InvalidVertexSetError(f"eligible set {eligible} not within graph")
-    if birth is None:
-        birth = max((info.birth for info in g.vertices), default=0) + 1
-    out = Graph()
-    for info in g.vertices:
-        out.add_vertex(info.role, info.birth)
-    for u, v in g.edges():
-        out.add_edge(u, v)
-    for host in eligible:
-        rim = [out.add_vertex(VertexRole.FRESH_RIM, birth) for _ in range(n - 1)]
-        cycle = [host] + rim
-        for k in range(n):
-            out.add_edge(cycle[k], cycle[(k + 1) % n])
+    eligible = set(eligible)
+    outside = [v for v in eligible if not (isinstance(v, int) and 0 <= v < g.vertex_count)]
+    if outside:
+        raise InvalidVertexSetError(f"eligible vertices {outside} not within graph")
+    roles, births, new_vertex = _vertex_lists(g, birth)
+    edges = list(g.edges())
+    for host in sorted(eligible):
+        cycle = [host] + [new_vertex(_FRESH_RIM) for _ in range(n - 1)]
+        edges += [(cycle[k], cycle[(k + 1) % n]) for k in range(n)]
         if family is Family.WHEEL:
-            hub = out.add_vertex(VertexRole.FRESH_HUB, birth)
-            for v in cycle:
-                out.add_edge(hub, v)
-    return out.freeze()
+            hub = new_vertex(_FRESH_HUB)
+            edges += [(hub, v) for v in cycle]
+    return Graph.from_edges(roles, births, edges)
 
 
 def build(params: FractalParams, max_vertices: int | None = None) -> Graph:

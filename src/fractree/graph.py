@@ -41,35 +41,54 @@ class VertexInfo:
 
 
 class Graph:
-    """Simple undirected graph; immutable once frozen.
+    """Simple undirected graph, immutable from the start.
 
     Vertex ids are dense 0..n-1 in creation order.  The layout is compact:
     a ``bytearray`` of role codes (indices into :data:`ROLES`), an
     ``array`` of birth stages, and one sorted neighbour tuple per vertex.
     :class:`VertexInfo` objects are made only on demand.
 
-    A graph comes either whole from :meth:`from_layout`, or from
-    ``add_vertex`` / ``add_edge`` calls followed by :meth:`freeze`; those
-    two calls are only legal before freezing, and all query methods
-    other than :meth:`has_edge` require the frozen state.
+    There is one way in, validated or trusted: :meth:`from_edges` checks
+    an edge list before it builds anything, and :meth:`from_layout` takes
+    finished neighbour tuples as they are.
     """
 
-    __slots__ = ("_roles", "_births", "_adj", "_frozen", "_edge_count", "params")
+    __slots__ = ("_roles", "_births", "_adj", "_edge_count", "params")
 
-    def __init__(self, params: Optional[FractalParams] = None):
-        self._roles = bytearray()
-        self._births = array("i")
-        self._adj: list = []  # neighbour sets; a tuple of sorted tuples once frozen
-        self._frozen = False
-        self._edge_count = 0
-        self.params = params
+    def __init__(self):
+        raise TypeError("make a Graph with Graph.from_edges or Graph.from_layout")
+
+    @classmethod
+    def from_edges(
+        cls, roles: bytearray, births: array, edges, params: Optional[FractalParams] = None,
+    ) -> "Graph":
+        """A graph over ``edges``, with the vertex lists of :meth:`from_layout`.
+
+        An endpoint that is not an ``int`` in ``range(len(roles))`` raises
+        :class:`InvalidVertexError`; a self-loop, or an edge given twice in
+        either orientation, raises ``ValueError``.
+        """
+        n = len(roles)
+        adj = [set() for _ in range(n)]
+        count = 0
+        for u, v in edges:
+            if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+                raise InvalidVertexError(f"edge ({u!r},{v!r}) references a missing vertex")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if v in adj[u]:
+                raise ValueError(f"duplicate edge ({u},{v})")
+            adj[u].add(v)
+            adj[v].add(u)
+            count += 1
+        return cls.from_layout(roles, births, [tuple(sorted(nb)) for nb in adj], count, params)
 
     @classmethod
     def from_layout(
         cls, roles: bytearray, births: array, adjacency, edge_count: int,
         params: Optional[FractalParams] = None,
     ) -> "Graph":
-        """A frozen graph over finished lists, taken as they are.
+        """A graph over finished lists, taken as they are.
 
         ``adjacency[v]`` must be the ascending tuple of v's neighbours,
         symmetric and loop-free, with ``edge_count`` edges in all; only the
@@ -77,41 +96,13 @@ class Graph:
         """
         if not len(roles) == len(births) == len(adjacency):
             raise ValueError("roles, births and adjacency differ in length")
-        g = cls(params)
+        g = cls.__new__(cls)
         g._roles = roles
         g._births = births
         g._adj = tuple(adjacency)
         g._edge_count = edge_count
-        g._frozen = True
+        g.params = params
         return g
-
-    def add_vertex(self, role: VertexRole, birth: int) -> int:
-        if self._frozen:
-            raise RuntimeError("graph is frozen")
-        self._roles.append(ROLE_CODE[role])
-        self._births.append(birth)
-        self._adj.append(set())
-        return len(self._adj) - 1
-
-    def add_edge(self, u: int, v: int) -> None:
-        if self._frozen:
-            raise RuntimeError("graph is frozen")
-        n = len(self._adj)
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidVertexError(f"edge ({u},{v}) references a missing vertex")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if v in self._adj[u]:
-            raise ValueError(f"duplicate edge ({u},{v})")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        self._edge_count += 1
-
-    def freeze(self) -> "Graph":
-        if not self._frozen:
-            self._adj = tuple(tuple(sorted(s)) for s in self._adj)
-            self._frozen = True
-        return self
 
     @property
     def vertex_count(self) -> int:
@@ -146,12 +137,10 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether u and v are adjacent; also legal while building."""
+        """Whether u and v are adjacent, by bisection in the shorter tuple."""
         self._check_vertex(u)
         self._check_vertex(v)
         nb = self._adj[u]
-        if not self._frozen:
-            return v in nb
         if len(self._adj[v]) < len(nb):
             nb, v = self._adj[v], u
         pos = bisect_left(nb, v)
@@ -184,6 +173,12 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not isinstance(v, int) or not 0 <= v < len(self._adj):
             raise InvalidVertexError(f"vertex {v!r} not in graph")
+
+
+def plain_graph(n: int, edges) -> Graph:
+    """n ``ORIGINAL_BASE`` vertices born at stage 0, joined by ``edges``."""
+    return Graph.from_edges(bytearray([ROLE_CODE[VertexRole.ORIGINAL_BASE]]) * n,
+                            array("i", [0]) * n, edges)
 
 
 def degree_histogram(g: Graph) -> dict:

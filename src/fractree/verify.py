@@ -29,7 +29,7 @@ from typing import Callable
 
 from . import clustering, construct, exact, graph, sequences, spanning
 from .exact import FactoredCount
-from .graph import Graph, VertexRole
+from .graph import Graph
 from .params import Family, FractalParams
 
 MATCH = "match"
@@ -266,20 +266,16 @@ def random_connected_graph(
     (density - 1) * n edges.
     """
     n = rng.randint(max(min_n, min_extra + 2), max_n)
-    g = Graph()
-    for _ in range(n):
-        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-    for v in range(1, n):
-        g.add_edge(v, rng.randrange(v))
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
     added = 0
     for _ in range(4 * density * n):
         if added >= rng.randint(min_extra, n) + (density - 1) * n:
             break
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v and not g.has_edge(u, v):
-            g.add_edge(u, v)
+        u, v = sorted((rng.randrange(n), rng.randrange(n)))
+        if u != v and (u, v) not in edges:
+            edges.add((u, v))
             added += 1
-    return g.freeze()
+    return graph.plain_graph(n, edges)
 
 
 def naive_determinant(matrix) -> int:

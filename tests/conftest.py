@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fractree.graph import Graph, VertexRole
+from fractree.graph import Graph, plain_graph
 from fractree.verify import verify_suite
 
 
@@ -46,12 +46,7 @@ def _glued_copies(rng, pieces: list, copies: int) -> Graph:
         edges += [(ids[u], ids[v]) for u, v in piece]
     perm = list(range(size))
     rng.shuffle(perm)
-    g = Graph()
-    for _ in range(size):
-        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-    for u, v in edges:
-        g.add_edge(perm[u], perm[v])
-    return g.freeze()
+    return plain_graph(size, [(perm[u], perm[v]) for u, v in edges])
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from fractree.clustering import (
     local_clustering,
 )
 from fractree.construct import base, build
-from fractree.graph import Graph, VertexRole, degree_histogram
+from fractree.graph import VertexRole, degree_histogram, plain_graph
 from fractree.params import Family, FractalParams
 
 
@@ -25,19 +25,12 @@ class TestLocal:
         assert local_clustering(w4, 4) == Fraction(2, 3)  # hub
 
     def test_low_degree_is_zero(self):
-        g = Graph()
-        for _ in range(3):
-            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        g.add_edge(0, 1)
-        g.add_edge(1, 2)
-        g.freeze()
+        g = plain_graph(3, [(0, 1), (1, 2)])
         assert local_clustering(g, 0) == 0  # degree 1
         assert local_clustering(g, 1) == 0  # degree 2, ends not adjacent
 
     def test_isolated_vertex(self):
-        g = Graph()
-        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        assert local_clustering(g.freeze(), 0) == 0
+        assert local_clustering(plain_graph(1, []), 0) == 0
 
     def test_path_interior_in_stage_graph(self):
         g = build(FractalParams(Family.CYCLE, 3, 2, 1))

@@ -13,11 +13,11 @@ from fractree.construct import (
 )
 from fractree.errors import BadParameterError, InvalidVertexSetError, SizeCapError
 from fractree.graph import (
-    Graph,
     VertexRole,
     block_census,
     blocks,
     degree_histogram,
+    plain_graph,
     to_dot,
     to_edgelist_text,
     to_json_dict,
@@ -71,11 +71,7 @@ class TestEpt:
         assert [b.signature for b in blocks(g)] == [("cycle", 8)]
 
     def test_edge_to_path(self):
-        k2 = Graph()
-        k2.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        k2.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        k2.add_edge(0, 1)
-        g = ept(k2.freeze(), 3)
+        g = ept(plain_graph(2, [(0, 1)]), 3)
         assert (g.vertex_count, g.edge_count) == (4, 3)
         assert degree_histogram(g) == {1: 2, 2: 2}
 
@@ -117,9 +113,7 @@ class TestGlv:
         assert all(g.degree(v) == 4 for v in range(4))
 
     def test_seed_vertex_grows_base(self):
-        seed = Graph()
-        seed.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        g = glv(seed.freeze(), Family.CYCLE, 5, [0])
+        g = glv(plain_graph(1, []), Family.CYCLE, 5, [0])
         assert (g.vertex_count, g.edge_count) == (5, 5)
         assert [b.signature for b in blocks(g)] == [("cycle", 5)]
 
@@ -155,6 +149,13 @@ class TestGlv:
     def test_bad_vertex_set(self):
         with pytest.raises(InvalidVertexSetError):
             glv(base(Family.CYCLE, 3), Family.CYCLE, 3, [7])
+        with pytest.raises(InvalidVertexSetError):
+            glv(base(Family.CYCLE, 3), Family.CYCLE, 3, [-1])
+
+    @pytest.mark.parametrize("hosts", [[0.5], ["0"], [0, "1"]], ids=["float", "str", "mixed"])
+    def test_non_int_host(self, hosts):
+        with pytest.raises(InvalidVertexSetError):
+            glv(base(Family.CYCLE, 3), Family.CYCLE, 3, hosts)
 
 
 class TestBuild:

@@ -10,6 +10,7 @@ from fractree import graph
 from fractree.construct import base, build, ept
 from fractree.errors import DisconnectedGraphError, InvalidVertexError
 from fractree.graph import (
+    ROLE_CODE,
     Graph,
     VertexInfo,
     VertexRole,
@@ -18,6 +19,7 @@ from fractree.graph import (
     blocks,
     degree_histogram,
     laplacian_minor,
+    plain_graph,
     to_dot,
     to_edgelist_text,
     to_json_dict,
@@ -28,62 +30,38 @@ from fractree.spanning import tau_blocks, tau_oracle
 from fractree.verify import random_connected_graph
 
 
-def _cycle(n):
-    g = Graph()
-    for _ in range(n):
-        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-    for k in range(n):
-        g.add_edge(k, (k + 1) % n)
-    return g.freeze()
-
-
-def _from_edges(edges):
-    g = Graph()
-    for _ in range(1 + max(v for e in edges for v in e)):
-        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-    for u, v in edges:
-        g.add_edge(u, v)
-    return g.freeze()
-
-
-def _two_triangles_sharing_vertex():
-    g = Graph()
-    for _ in range(5):
-        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-    for u, v in [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]:
-        g.add_edge(u, v)
-    return g.freeze()
+_TWO_TRIANGLES = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
 
 
 class TestGraphBasics:
     def test_simple_graph_validation(self):
-        g = Graph()
-        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        with pytest.raises(ValueError):
-            g.add_edge(0, 0)
-        g.add_edge(0, 1)
-        with pytest.raises(ValueError):
-            g.add_edge(1, 0)
-        with pytest.raises(InvalidVertexError):
-            g.add_edge(0, 7)
+        g = plain_graph(3, [(2, 1), (0, 2)])
+        assert g.adjacency == ((2,), (2,), (0, 1)) and g.edge_count == 2
+        assert {info.role for info in g.vertices} == {VertexRole.ORIGINAL_BASE}
+        for edges, error in [
+            ([(0, 1.0)], InvalidVertexError),
+            ([("0", 1)], InvalidVertexError),
+            ([(0, 3)], InvalidVertexError),
+            ([(-1, 2)], InvalidVertexError),
+            ([(1, 1)], ValueError),
+            ([(0, 1), (0, 2), (0, 1)], ValueError),
+            ([(0, 1), (0, 2), (1, 0)], ValueError),
+        ]:
+            with pytest.raises(error) as raised:
+                Graph.from_edges(bytearray(3), array("i", [0, 0, 0]), edges)
+            assert raised.type is error, edges
 
-    def test_frozen_graph_rejects_mutation(self):
-        g = _cycle(3)
-        with pytest.raises(RuntimeError):
-            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        with pytest.raises(RuntimeError):
-            g.add_edge(0, 1)
-
-    def test_has_edge_while_building(self):
-        g = Graph()
-        for _ in range(3):
-            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        g.add_edge(2, 0)
-        assert g.has_edge(0, 2) and g.has_edge(2, 0)
-        assert not g.has_edge(0, 1)
+    def test_neighbors_are_tuples(self):
+        g = plain_graph(3, [(2, 0)])
+        assert g.adjacency == ((2,), (), (0,))
+        assert type(g.neighbors(0)) is tuple
+        assert g.has_edge(0, 2) and g.has_edge(2, 0) and not g.has_edge(0, 1)
         with pytest.raises(InvalidVertexError):
             g.has_edge(0, 3)
+
+    def test_made_whole(self):
+        with pytest.raises(TypeError):
+            Graph()
 
     def test_info_made_on_demand(self):
         g = base(Family.WHEEL, 4)
@@ -97,24 +75,24 @@ class TestGraphBasics:
             Graph.from_layout(bytearray(2), array("i", [0, 0]), [(1,)], 0)
 
     def test_neighbors_sorted(self):
-        g = _two_triangles_sharing_vertex()
+        g = plain_graph(5, _TWO_TRIANGLES)
         assert g.neighbors(0) == (1, 2, 3, 4)
         assert g.degree(0) == 4
 
     def test_has_edge(self):
-        g = _cycle(5)
+        g = base(Family.CYCLE, 5)
         assert g.has_edge(0, 1) and g.has_edge(0, 4)
         assert not g.has_edge(0, 2)
 
     def test_edges_ascending(self):
-        g = _two_triangles_sharing_vertex()
+        g = plain_graph(5, _TWO_TRIANGLES)
         es = list(g.edges())
         assert es == sorted(es)
         assert all(u < v for u, v in es)
         assert len(es) == g.edge_count
 
     def test_degree_sum_is_twice_edges(self):
-        for g in (_cycle(6), _two_triangles_sharing_vertex(), base(Family.WHEEL, 5)):
+        for g in (base(Family.CYCLE, 6), plain_graph(5, _TWO_TRIANGLES), base(Family.WHEEL, 5)):
             hist = degree_histogram(g)
             assert sum(hist.values()) == g.vertex_count
             assert sum(d * c for d, c in hist.items()) == 2 * g.edge_count
@@ -122,7 +100,7 @@ class TestGraphBasics:
 
 class TestDegreeHistogram:
     def test_cycle(self):
-        assert degree_histogram(_cycle(3)) == {2: 3}
+        assert degree_histogram(base(Family.CYCLE, 3)) == {2: 3}
 
     def test_wheel(self):
         assert degree_histogram(base(Family.WHEEL, 4)) == {3: 4, 4: 1}
@@ -134,14 +112,10 @@ class TestDegreeHistogram:
 
 class TestLaplacianMinor:
     def test_triangle(self):
-        assert laplacian_minor(_cycle(3), 0) == [[2, -1], [-1, 2]]
+        assert laplacian_minor(base(Family.CYCLE, 3), 0) == [[2, -1], [-1, 2]]
 
     def test_single_edge(self):
-        g = Graph()
-        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        g.add_edge(0, 1)
-        assert laplacian_minor(g.freeze(), 1) == [[1]]
+        assert laplacian_minor(plain_graph(2, [(0, 1)]), 1) == [[1]]
 
     def test_wheel_omit_hub(self):
         w4 = base(Family.WHEEL, 4)  # hub is vertex 4
@@ -151,36 +125,26 @@ class TestLaplacianMinor:
 
     def test_bad_vertex(self):
         with pytest.raises(InvalidVertexError):
-            laplacian_minor(_cycle(3), 5)
+            laplacian_minor(base(Family.CYCLE, 3), 5)
 
 
 class TestBlocks:
     def test_single_cycle(self):
-        out = blocks(_cycle(5))
+        out = blocks(base(Family.CYCLE, 5))
         assert len(out) == 1
         assert out[0].signature == ("cycle", 5)
 
     def test_two_triangles(self):
-        out = blocks(_two_triangles_sharing_vertex())
+        out = blocks(plain_graph(5, _TWO_TRIANGLES))
         assert sorted(b.signature for b in out) == [("cycle", 3), ("cycle", 3)]
 
     def test_bridge_is_other(self):
-        g = Graph()
-        for _ in range(4):
-            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        for u, v in [(0, 1), (1, 2), (2, 0), (2, 3)]:
-            g.add_edge(u, v)
-        out = blocks(g.freeze())
+        out = blocks(plain_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]))
         assert sorted(b.signature for b in out) == [("cycle", 3), ("other",)]
 
     def test_theta_graph_is_other(self):
         # two vertices joined by three internally disjoint paths
-        g = Graph()
-        for _ in range(5):
-            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        for u, v in [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1)]:
-            g.add_edge(u, v)
-        out = blocks(g.freeze())
+        out = blocks(plain_graph(5, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1)]))
         assert [b.signature for b in out] == [("other",)]
 
     def test_plain_wheel(self):
@@ -203,31 +167,18 @@ class TestBlocks:
         assert [b.signature for b in blocks(g)] == [("wheel", 3, 3)]
 
     def test_cube_graph_is_other(self):
-        g = Graph()
-        for _ in range(8):
-            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        for u, v in [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7),
-                     (7, 4), (0, 4), (1, 5), (2, 6), (3, 7)]:
-            g.add_edge(u, v)
-        assert [b.signature for b in blocks(g.freeze())] == [("other",)]
+        g = plain_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7),
+                            (7, 4), (0, 4), (1, 5), (2, 6), (3, 7)])
+        assert [b.signature for b in blocks(g)] == [("other",)]
 
     def test_complete_graph_k5_is_other(self):
-        g = Graph()
-        for _ in range(5):
-            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        for u in range(5):
-            for v in range(u + 1, 5):
-                g.add_edge(u, v)
-        assert [b.signature for b in blocks(g.freeze())] == [("other",)]
+        g = plain_graph(5, combinations(range(5), 2))
+        assert [b.signature for b in blocks(g)] == [("other",)]
 
     def test_nonuniform_subdivision_is_other(self):
-        g = Graph()
-        for _ in range(6):
-            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
         # W_4 with exactly one rim edge subdivided
-        for u, v in [(0, 1), (1, 2), (2, 3), (3, 5), (5, 0), (4, 0), (4, 1), (4, 2), (4, 3)]:
-            g.add_edge(u, v)
-        assert [b.signature for b in blocks(g.freeze())] == [("other",)]
+        g = plain_graph(6, [(0, 1), (1, 2), (2, 3), (3, 5), (5, 0), (4, 0), (4, 1), (4, 2), (4, 3)])
+        assert [b.signature for b in blocks(g)] == [("other",)]
 
     def test_stage_one_composition(self):
         g = build(FractalParams(Family.CYCLE, 3, 2, 1))
@@ -246,21 +197,11 @@ class TestBlocks:
                 seen.add(e)
 
     def test_disconnected_raises(self):
-        g = Graph()
-        for _ in range(4):
-            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        g.add_edge(0, 1)
-        g.add_edge(2, 3)
         with pytest.raises(DisconnectedGraphError):
-            blocks(g.freeze())
+            blocks(plain_graph(4, [(0, 1), (2, 3)]))
 
     def test_large_path_no_recursion_limit(self):
-        g = Graph()
-        for _ in range(5000):
-            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        for v in range(4999):
-            g.add_edge(v, v + 1)
-        out = blocks(g.freeze())
+        out = blocks(plain_graph(5000, [(v, v + 1) for v in range(4999)]))
         assert len(out) == 4999
 
     def test_big_built_graph_stays_simple(self):
@@ -330,7 +271,7 @@ class TestFreeEdgeCycleTest:
         (_TRIANGLE_OF_K4S, {3: 1}, 3),
     ], ids=["pendant-path", "edge", "star", "theta", "chord", "triangle-of-k4s"])
     def test_only_cycles_get_int_keys(self, edges, cycles, others):
-        g = _from_edges(edges)
+        g = plain_graph(1 + max(map(max, edges)), edges)
         shapes = block_shapes(g)
         assert {k: c for k, c in shapes.items() if isinstance(k, int)} == cycles
         assert sum(c for k, c in shapes.items() if not isinstance(k, int)) == others
@@ -338,9 +279,8 @@ class TestFreeEdgeCycleTest:
 
 
 def _networkx_blocks(g, nx):
-    h = nx.Graph()
+    h = nx.from_edgelist(g.edges())
     h.add_nodes_from(range(g.vertex_count))
-    h.add_edges_from(g.edges())
     return sorted(sorted(tuple(sorted(e)) for e in c) for c in nx.biconnected_component_edges(h))
 
 
@@ -375,7 +315,7 @@ class TestBlocksAgainstNetworkx:
 
 class TestSerialization:
     def test_edgelist_format(self):
-        text = to_edgelist_text(_cycle(3))
+        text = to_edgelist_text(base(Family.CYCLE, 3))
         assert text == "0 1\n0 2\n1 2\n"
 
     def test_json_schema(self):
@@ -388,7 +328,7 @@ class TestSerialization:
         json.dumps(d)  # serializable
 
     def test_json_without_params(self):
-        d = to_json_dict(_cycle(4))
+        d = to_json_dict(base(Family.CYCLE, 4))
         assert d["family"] is None
 
     @pytest.mark.parametrize(
@@ -407,13 +347,12 @@ class TestSerialization:
         assert to_json_text(g) == json.dumps(to_json_dict(g), indent=2) + "\n"
 
     def test_json_text_without_params(self):
-        single = Graph()
-        single.add_vertex(VertexRole.FRESH_HUB, 2)
-        for g in (_cycle(4), _two_triangles_sharing_vertex(), single.freeze(), Graph().freeze()):
+        single = Graph.from_edges(bytearray([ROLE_CODE[VertexRole.FRESH_HUB]]), array("i", [2]), [])
+        for g in (base(Family.CYCLE, 4), plain_graph(5, _TWO_TRIANGLES), single, plain_graph(0, [])):
             assert to_json_text(g) == json.dumps(to_json_dict(g), indent=2) + "\n"
 
     def test_dot_output(self):
-        text = to_dot(_cycle(3))
+        text = to_dot(base(Family.CYCLE, 3))
         assert text.startswith("graph G {")
         assert "0 -- 1;" in text and text.rstrip().endswith("}")
 

@@ -1,5 +1,6 @@
 import gc
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from fractree import spanning
 from fractree.construct import base, build, ept, glv
 from fractree.errors import BadParameterError, DisconnectedGraphError, SizeCapError
 from fractree.exact import FactoredCount, bareiss_determinant, factored_expand
-from fractree.graph import Graph, VertexRole, blocks, laplacian_minor
+from fractree.graph import Graph, blocks, laplacian_minor, plain_graph
 from fractree.params import Family, FractalParams
 from fractree.spanning import (
     DEFAULT_ORACLE_MAX_VERTICES,
@@ -65,23 +66,12 @@ class TestTauOracle:
         assert tau_oracle(build(FractalParams(Family.CYCLE, 3, 2, 1))) == 162
 
     def test_tiny_graphs(self):
-        k2 = Graph()
-        k2.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        k2.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        k2.add_edge(0, 1)
-        assert tau_oracle(k2.freeze()) == 1
-        single = Graph()
-        single.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        assert tau_oracle(single.freeze()) == 1
+        assert tau_oracle(plain_graph(2, [(0, 1)])) == 1
+        assert tau_oracle(plain_graph(1, [])) == 1
 
     def test_disconnected(self):
-        g = Graph()
-        for _ in range(4):
-            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        g.add_edge(0, 1)
-        g.add_edge(2, 3)
         with pytest.raises(DisconnectedGraphError):
-            tau_oracle(g.freeze())
+            tau_oracle(plain_graph(4, [(0, 1), (2, 3)]))
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
@@ -94,11 +84,8 @@ class TestTauOracle:
             tau_oracle(_path(DEFAULT_ORACLE_MAX_VERTICES + 1))
 
     def test_cap_checked_before_connectivity(self):
-        g = Graph()
-        for _ in range(11):
-            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
         with pytest.raises(SizeCapError):
-            tau_oracle(g.freeze(), max_vertices=10)
+            tau_oracle(plain_graph(11, []), max_vertices=10)
 
     def test_omitted_vertex_independence(self, rng):
         for _ in range(20):
@@ -111,12 +98,7 @@ class TestTauOracle:
 
 
 def _path(n: int) -> Graph:
-    g = Graph()
-    for _ in range(n):
-        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-    for v in range(1, n):
-        g.add_edge(v - 1, v)
-    return g.freeze()
+    return plain_graph(n, [(v - 1, v) for v in range(1, n)])
 
 
 def _sparse_minor_determinant(g: Graph, omit: int) -> int:
@@ -203,12 +185,8 @@ def _plain_block_product(g: Graph) -> int:
 
 class TestTauBlocks:
     def test_two_triangles(self):
-        g = Graph()
-        for _ in range(5):
-            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        for u, v in [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]:
-            g.add_edge(u, v)
-        assert tau_blocks(g.freeze()) == 9
+        g = plain_graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+        assert tau_blocks(g) == 9
 
     def test_first_stage_product(self):
         # three triangles and the central 6-cycle: 3^3 * 6
@@ -231,14 +209,10 @@ class TestTauBlocks:
         for length in range(3, 12):
             assert tau_blocks(base(Family.CYCLE, length)) == length
         # one cycle of each length 3..9, each hung off the last one's vertex
-        g = Graph()
-        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        for length in range(3, 10):
-            head = g.vertex_count - 1
-            ring = [head] + [g.add_vertex(VertexRole.ORIGINAL_BASE, 0) for _ in range(length - 1)]
-            for k in range(length):
-                g.add_edge(ring[k], ring[(k + 1) % length])
-        g.freeze()
+        heads = list(accumulate(range(2, 9), initial=0))  # a cycle ends on the next head
+        g = plain_graph(heads[-1] + 1, [(h + k, h + (k + 1) % length)
+                                        for length, h in zip(range(3, 10), heads)
+                                        for k in range(length)])
         assert tau_blocks(g) == _plain_block_product(g) == math.factorial(9) // 2
 
     @pytest.mark.parametrize(
@@ -254,11 +228,7 @@ class TestTauBlocks:
     def test_gc_state_restored(self, walk):
         # the block walk pauses cyclic GC and must hand back the caller's state
         g = build(FractalParams(Family.CYCLE, 3, 2, 2))
-        disconnected = Graph()
-        for _ in range(3):
-            disconnected.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        disconnected.add_edge(0, 1)
-        disconnected.freeze()
+        disconnected = plain_graph(3, [(0, 1)])
         assert gc.isenabled()
         walk(g)
         assert gc.isenabled()
@@ -273,17 +243,10 @@ class TestTauBlocks:
             gc.enable()
 
     def test_single_vertex(self):
-        g = Graph()
-        g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        assert tau_blocks(g.freeze()) == 1
+        assert tau_blocks(plain_graph(1, [])) == 1
 
     def test_tree_has_one_spanning_tree(self):
-        g = Graph()
-        for _ in range(6):
-            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        for v in range(1, 6):
-            g.add_edge(v, (v - 1) // 2)
-        g.freeze()
+        g = plain_graph(6, [(v, (v - 1) // 2) for v in range(1, 6)])
         assert tau_blocks(g) == tau_oracle(g) == 1
 
 
@@ -336,13 +299,7 @@ class TestIdentities:
     @settings(max_examples=60, deadline=None)
     def test_subdivision_identity_hypothesis(self, spec, m):
         n, extra = spec
-        g = Graph()
-        for _ in range(n):
-            g.add_vertex(VertexRole.ORIGINAL_BASE, 0)
-        edges = {(v - 1, v) for v in range(1, n)} | extra  # path keeps it connected
-        for u, v in sorted(edges):
-            g.add_edge(u, v)
-        g.freeze()
+        g = plain_graph(n, {(v - 1, v) for v in range(1, n)} | extra)  # path keeps it connected
         rank = g.edge_count - g.vertex_count + 1
         assert tau_oracle(ept(g, m)) == m**rank * tau_oracle(g)
 
