@@ -8,6 +8,9 @@ cross-checks every closed-form invariant (size recurrences, entropy,
 clustering coefficients) against direct computation.
 """
 
+# set before the submodules load: verify's JSON report records it
+__version__ = "0.1.0"
+
 from .clustering import (
     ClusteringReport,
     average_clustering,
@@ -77,8 +80,6 @@ from .spanning import (
     tau_wheel_base,
 )
 from .verify import DiscrepancyReport, verify_suite
-
-__version__ = "0.1.0"
 
 __all__ = [
     "average_clustering", "base", "bareiss_determinant", "binet_vertex",

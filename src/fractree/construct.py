@@ -110,13 +110,13 @@ def glv(g: Graph, family: Family, n: int, eligible, birth: int | None = None) ->
     if not isinstance(n, int) or n < 3:
         raise BadParameterError(f"attachment needs n >= 3, got {n!r}")
     family = Family(family)
-    eligible = set(eligible)
-    outside = [v for v in eligible if not (isinstance(v, int) and 0 <= v < g.vertex_count)]
+    eligible = list(eligible)
+    outside = [v for v in eligible if not (type(v) is int and 0 <= v < g.vertex_count)]
     if outside:
         raise InvalidVertexSetError(f"eligible vertices {outside} not within graph")
     roles, births, new_vertex = _vertex_lists(g, birth)
     edges = list(g.edges())
-    for host in sorted(eligible):
+    for host in sorted(set(eligible)):
         cycle = [host] + [new_vertex(_FRESH_RIM) for _ in range(n - 1)]
         edges += [(cycle[k], cycle[(k + 1) % n]) for k in range(n)]
         if family is Family.WHEEL:

@@ -50,10 +50,11 @@ class Graph:
 
     There is one way in, validated or trusted: :meth:`from_edges` checks
     an edge list before it builds anything, and :meth:`from_layout` takes
-    finished neighbour tuples as they are.
+    finished neighbour tuples as they are.  Vertex ids are plain ``int``s;
+    a ``bool`` is refused wherever a vertex is taken.
     """
 
-    __slots__ = ("_roles", "_births", "_adj", "_edge_count", "params")
+    __slots__ = ("_roles", "_births", "_adj", "_edge_count", "_params")
 
     def __init__(self):
         raise TypeError("make a Graph with Graph.from_edges or Graph.from_layout")
@@ -64,15 +65,16 @@ class Graph:
     ) -> "Graph":
         """A graph over ``edges``, with the vertex lists of :meth:`from_layout`.
 
-        An endpoint that is not an ``int`` in ``range(len(roles))`` raises
-        :class:`InvalidVertexError`; a self-loop, or an edge given twice in
-        either orientation, raises ``ValueError``.
+        An endpoint that is not a plain ``int`` (a ``bool`` is refused) in
+        ``range(len(roles))`` raises :class:`InvalidVertexError`; a
+        self-loop, or an edge given twice in either orientation, raises
+        ``ValueError``.
         """
         n = len(roles)
         adj = [set() for _ in range(n)]
         count = 0
         for u, v in edges:
-            if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
                 raise InvalidVertexError(f"edge ({u!r},{v!r}) references a missing vertex")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -101,8 +103,13 @@ class Graph:
         g._births = births
         g._adj = tuple(adjacency)
         g._edge_count = edge_count
-        g.params = params
+        g._params = params
         return g
+
+    @property
+    def params(self) -> Optional[FractalParams]:
+        """The family parameters the graph was built for, if any; read-only."""
+        return self._params
 
     @property
     def vertex_count(self) -> int:
@@ -171,7 +178,7 @@ class Graph:
         return count == n
 
     def _check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < len(self._adj):
+        if type(v) is not int or not 0 <= v < len(self._adj):
             raise InvalidVertexError(f"vertex {v!r} not in graph")
 
 

@@ -10,6 +10,13 @@ the wheel family fail at j = 0 and are kept only for cross-check reports.
 Index convention: u[j] and e[j] are seeded with u[0] = 1, e[0] = 0 (a
 single bare vertex), so the stage-i graph has u[i+1] vertices and e[i+1]
 edges.
+
+The spanning-tree exponents S1(k) = sum of u_j and S2(k) = sum of
+(k-j)*u_j over j <= k have two exact routes.  :func:`_exponent_sums_closed`
+steps u alone and sums the recurrence in closed form; it serves every hot
+path (``tau_closed``, the entropy estimates and the entropy surface).
+:func:`_exponent_sums` keeps running sums over the coupled recurrence and
+stays as the reference that ``verify`` and the tests compare against.
 """
 
 from __future__ import annotations
@@ -237,6 +244,39 @@ def _exponent_sums(params: FractalParams, upto: int):
         u = u_next
 
 
+def _exponent_sums_closed(params: FractalParams, upto: int) -> tuple:
+    """The last two steps of :func:`_exponent_sums` (one if ``upto`` is 0),
+    in closed form from three consecutive vertex counts.
+
+    Only u is stepped, by u_j = a*u_{j-1} + b*u_{j-2} of
+    :class:`RecurrenceSpec`.  Summing that recurrence over j = 2..k gives,
+    with D = 1 - a - b (1 - m or n*(1 - m), never 0) and C = 1 + u_1 - a:
+
+        D*S1(k) = C - (a+b)*u_k - b*u_{k-1}
+        D*S2(k) = k*C - (a+b)*S1(k-1) - b*S1(k-2) - (u_1 - a)
+
+    where S1(k-1) = S1(k) - u_k and S1(k-2) = S1(k-1) - u_{k-1}.  Both
+    divisions must be exact.  No step divides by b or reads u_{-1}, since
+    b = 0 for the wheel with n = m = 3.
+    """
+    if upto < 0:
+        raise BadParameterError("upto must be >= 0")
+    spec = RecurrenceSpec.for_params(params)
+    a, b, u1 = spec.a, spec.b, spec.u1
+    if upto == 0:
+        return ((1, 0, 1, u1),)
+    before, u = 1, u1
+    for _ in range(upto - 1):
+        before, u = u, a * u + b * before
+    d, c = 1 - a - b, 1 + u1 - a
+    s1, r1 = divmod(c - (a + b) * u - b * before, d)
+    s1_prev = s1 - u
+    s2, r2 = divmod(upto * c - (a + b) * s1_prev - b * (s1_prev - before) - (u1 - a), d)
+    if r1 or r2:
+        raise ArithmeticError(f"exponent sums of {params} at k={upto} are not integers")
+    return (s1_prev, s2 - s1_prev, before, u), (s1, s2, u, a * u + b * before)
+
+
 def _entropy_terms(family: Family, n: int):
     # ln tau(G^(k)) = S1(k)*ln(base) + mult*S2(k)*ln(m)
     if family is Family.CYCLE:
@@ -248,7 +288,7 @@ def _entropy_terms(family: Family, n: int):
 
 def _estimate(step: tuple, same_stage: bool, log_base: float, mult: int, log_m: float) -> float:
     # ln tau(G^(k)) / u_k (offset) or / u_{k+1} (same stage) for one
-    # _exponent_sums step; int/int true division is correctly rounded, so
+    # (S1, S2, u_k, u_{k+1}) step; int/int true division is correctly rounded, so
     # each ratio is the float nearest the exact rational at any size
     s1, s2, u, u_next = step
     denom = u_next if same_stage else u
@@ -260,12 +300,13 @@ _ENTROPY_ITERS = 60
 
 def entropy_estimates(params: FractalParams, iters: int = _ENTROPY_ITERS) -> tuple:
     """The (offset-stage, same-stage) entropy estimates, both from one pass
-    of the exact recurrences; :func:`entropy_limit` picks one of them."""
+    of the exact vertex recurrence and the closed-form exponent sums of its
+    last two steps; :func:`entropy_limit` picks one of them."""
     if iters < 2:
         raise BadParameterError("iters must be >= 2")
     base_count, mult = _entropy_terms(params.family, params.n)
     terms = (math.log(base_count), mult, math.log(params.m))
-    *_, previous, last = _exponent_sums(params, iters)
+    previous, last = _exponent_sums_closed(params, iters)
     out = []
     for same, convention in ((False, EntropyConvention.OFFSET_STAGE),
                              (True, EntropyConvention.SAME_STAGE)):
@@ -333,8 +374,9 @@ def entropy_closed(params: FractalParams) -> float:
 def entropy_surface_rows(family: Family, n_range, m_range) -> list:
     """(n, m, offset, same, closed-or-None) rows, n-major order.
 
-    Both conventions come from one recurrence pass per (n, m) cell and equal
-    :func:`entropy_limit` at its default depth bit for bit.
+    Both conventions come from one pass of the vertex recurrence per (n, m)
+    cell, with closed-form exponent sums, and equal :func:`entropy_limit` at
+    its default depth bit for bit.
     """
     rows = []
     for n in n_range:
@@ -343,7 +385,7 @@ def entropy_surface_rows(family: Family, n_range, m_range) -> list:
         for m in m_range:
             p = FractalParams(family, n, m)
             log_m = math.log(m)
-            *_, last = _exponent_sums(p, _ENTROPY_ITERS)
+            _, last = _exponent_sums_closed(p, _ENTROPY_ITERS)
             offset = _estimate(last, False, log_base, mult, log_m)
             same = _estimate(last, True, log_base, mult, log_m)
             try:

@@ -29,7 +29,7 @@ from .errors import BadParameterError, DisconnectedGraphError, SizeCapError
 from .exact import FactoredCount
 from .graph import Graph, block_shapes, shape_edges
 from .params import Family, FractalParams
-from .sequences import _exponent_sums
+from .sequences import _exponent_sums_closed
 
 DEFAULT_ORACLE_MAX_VERTICES = 25_000
 
@@ -65,9 +65,10 @@ def tau_closed(params: FractalParams) -> FactoredCount:
     """Factored spanning-tree count for a stage-i family member.
 
     Cycle: n^S1 * m^S2.  Wheel: (L_{2n}-2)^S1 * m^(n*S2).  The exponent
-    sums are accumulated exactly from the recurrence values.
+    sums S1(i) and S2(i) come exactly, in closed form, from three
+    consecutive vertex counts (:func:`~fractree.sequences._exponent_sums_closed`).
     """
-    *_, (s1, s2, _, _) = _exponent_sums(params, params.i)
+    *_, (s1, s2, _, _) = _exponent_sums_closed(params, params.i)
     if params.family is Family.CYCLE:
         return FactoredCount({params.n: s1}) * FactoredCount({params.m: s2})
     base = tau_wheel_base(params.n)

@@ -21,13 +21,14 @@ import json
 import math
 import operator
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Callable
 
-from . import clustering, construct, exact, graph, sequences, spanning
+from . import __version__, clustering, construct, exact, graph, sequences, spanning
 from .exact import FactoredCount
 from .graph import Graph
 from .params import Family, FractalParams
@@ -163,6 +164,7 @@ class CheckResult:
 class DiscrepancyReport:
     level: str
     checks: list = field(default_factory=list)
+    seconds: float = 0.0  # wall time of the whole run
 
     @property
     def coverage(self) -> dict:
@@ -189,6 +191,9 @@ class DiscrepancyReport:
     def to_json_dict(self) -> dict:
         return {
             "level": self.level,
+            "python": sys.version.split()[0],
+            "fractree": __version__,
+            "seconds": round(self.seconds, 6),
             "summary": self.counts,
             "coverage": self.coverage,
             "checks": [c.to_json() for c in self.sorted_checks()],
@@ -707,5 +712,7 @@ def verify_suite(level: str = FULL) -> DiscrepancyReport:
     """
     if level not in (FULL, QUICK):
         raise ValueError(f"unknown level {level!r}")
+    start = time.perf_counter()
     chosen = [c for c in registry() if level == FULL or c.level == QUICK]
-    return DiscrepancyReport(level, [run_check(c) for c in chosen])
+    results = [run_check(c) for c in chosen]
+    return DiscrepancyReport(level, results, time.perf_counter() - start)

@@ -1,14 +1,17 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
 
+import fractree
 from fractree import cli, sequences
 
 
@@ -214,13 +217,13 @@ class TestInvariants:
 
     def test_entropy_steps_the_recurrence_once(self, monkeypatch):
         passes = []
-        original = sequences._exponent_sums
+        original = sequences._exponent_sums_closed
 
         def counted(params, upto):
             passes.append(upto)
             return original(params, upto)
 
-        monkeypatch.setattr(sequences, "_exponent_sums", counted)
+        monkeypatch.setattr(sequences, "_exponent_sums_closed", counted)
         r = run_cli("invariants", "entropy", "wheel", "4", "3", "--iters", "400")
         assert r.returncode == 0
         assert passes == [400]
@@ -342,6 +345,26 @@ class TestSurface:
         b = run_cli("surface", "cycle", "3..4", "2..3")
         assert a.stdout == b.stdout
 
+    @pytest.mark.parametrize("command, digest", [
+        ("surface cycle 3..64 2..64",
+         "162816d8f5949bc908eaa5baabee204fef5d83c4f7893b2ccc77ceeb45bcd1cc"),
+        ("surface wheel 3..56 2..64",
+         "d9d6625c999dee0d0db9b69854d00a87e80cab4f6a91ee46de98ce9cfce9c97b"),
+        ("surface wheel 9..64 2..64",
+         "d1d9adb7b4cb21313ca7adfcc52ae0c7e4d342bfa67c2d37a2359a2b010e40ef"),
+        ("invariants entropy cycle 5 2",
+         "ec493eafe52f7a2d8cc876212a236b363e5a235075e8b708f5445494a6c546e1"),
+        ("invariants entropy wheel 4 3 --iters 400",
+         "fa07ed98ad4b63fcf89991695869b4ec0869bfba6a98adb6e2823e4ae5bba1e4"),
+        ("invariants entropy cycle 7 3 --iters 400",
+         "2e47963e4cbe36a5f6faa79b2a8828bf0fc2d5ef02968a7dbf9dce61505ac08e"),
+    ])
+    def test_stdout_pinned(self, command, digest):
+        # every printed float of the large surfaces and entropy runs, pinned
+        r = run_cli(*command.split())
+        assert r.returncode == 0
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
 
 @pytest.fixture(scope="module")
 def result(tmp_path_factory):
@@ -365,3 +388,20 @@ class TestVerify:
         assert set(d["coverage"]) == {
             "arith", "graph", "construct", "spanning", "sequences", "clustering",
         }
+
+    def test_json_header(self, result):
+        _, path = result
+        d = json.loads(path.read_text())
+        assert list(d)[:4] == ["level", "python", "fractree", "seconds"]
+        assert d["level"] == "quick"
+        assert d["python"] == platform.python_version()
+        assert d["fractree"] == fractree.__version__
+        # the wall time of the run covers every timed route in it
+        assert d["seconds"] >= sum(c["seconds"] for c in d["checks"]) > 0
+
+
+def test_package_runs_as_module():
+    package = subprocess.run([sys.executable, "-m", "fractree", "verify", "--quick"],
+                             capture_output=True, text=True)
+    assert package.returncode == 0
+    assert package.stdout == run_module("verify", "--quick").stdout

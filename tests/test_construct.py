@@ -1,4 +1,5 @@
 import json
+from array import array
 
 import pytest
 
@@ -13,6 +14,8 @@ from fractree.construct import (
 )
 from fractree.errors import BadParameterError, InvalidVertexSetError, SizeCapError
 from fractree.graph import (
+    ROLE_CODE,
+    Graph,
     VertexRole,
     block_census,
     blocks,
@@ -157,6 +160,11 @@ class TestGlv:
         with pytest.raises(InvalidVertexSetError):
             glv(base(Family.CYCLE, 3), Family.CYCLE, 3, hosts)
 
+    @pytest.mark.parametrize("hosts", [[True], [False, 0], [0, False], [2, True]])
+    def test_bool_host(self, hosts):
+        with pytest.raises(InvalidVertexSetError):
+            glv(base(Family.CYCLE, 3), Family.CYCLE, 3, hosts)
+
 
 class TestBuild:
     @pytest.mark.parametrize(
@@ -248,8 +256,9 @@ def _composed(p):
     for stage in range(1, p.i + 1):
         hosts = range(g.vertex_count)
         g = glv(ept(g, p.m, birth=stage), p.family, p.n, hosts, birth=stage)
-    g.params = p
-    return g
+    roles = bytearray(ROLE_CODE[v.role] for v in g.vertices)
+    births = array("i", (v.birth for v in g.vertices))
+    return Graph.from_layout(roles, births, g.adjacency, g.edge_count, params=p)
 
 
 _ONE_PASS_GRID = [

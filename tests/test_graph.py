@@ -63,6 +63,29 @@ class TestGraphBasics:
         with pytest.raises(TypeError):
             Graph()
 
+    def test_from_edges_rejects_bool_endpoints(self):
+        for edges in ([(False, True), (True, 2)], [(0, True)], [(True, 2)]):
+            with pytest.raises(InvalidVertexError) as raised:
+                plain_graph(3, edges)
+            assert raised.type is InvalidVertexError, edges
+
+    def test_vertex_queries_reject_bools(self):
+        g = plain_graph(3, [(0, 1), (1, 2)])
+        for query in (lambda: g.has_edge(False, True), lambda: g.has_edge(0, True),
+                      lambda: g.neighbors(True), lambda: g.degree(False),
+                      lambda: g.info(True)):
+            with pytest.raises(InvalidVertexError):
+                query()
+
+    def test_params_read_only(self):
+        p = FractalParams(Family.CYCLE, 3, 2, 1)
+        g = build(p)
+        assert g.params == p
+        with pytest.raises(AttributeError):
+            g.params = FractalParams(Family.WHEEL, 4, 2, 1)
+        assert g.params == p
+        assert plain_graph(2, [(0, 1)]).params is None
+
     def test_info_made_on_demand(self):
         g = base(Family.WHEEL, 4)
         assert g.info(4) == VertexInfo(4, VertexRole.BASE_HUB, 0)

@@ -10,6 +10,7 @@ from fractree.sequences import (
     EntropyConvention,
     entropy_estimates,
     _exponent_sums,
+    _exponent_sums_closed,
     QuadraticNumber,
     RecurrenceSpec,
     binet_vertex,
@@ -79,6 +80,23 @@ class TestExponentSums:
                     s1 = sum(u[: k + 1])
                     s2 = sum((k - j) * u[j] for j in range(k + 1))
                     assert step == (s1, s2, u[k], u[k + 1])
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_closed_form_equals_running_sums(self, family):
+        # every k up to 400, wheel-3-3 (b = 0) included
+        for n in range(3, 13):
+            for m in range(2, 9):
+                p = FractalParams(family, n, m)
+                steps = list(_exponent_sums(p, 400))
+                for k in range(401):
+                    assert _exponent_sums_closed(p, k) == tuple(steps[max(k - 1, 0):k + 1])
+
+    def test_closed_form_stays_integer(self):
+        assert RecurrenceSpec.for_params(FractalParams(Family.WHEEL, 3, 3)).b == 0
+        for step in _exponent_sums_closed(FractalParams(Family.WHEEL, 9, 7), 60):
+            assert all(type(x) is int for x in step)
+        with pytest.raises(BadParameterError):
+            _exponent_sums_closed(FractalParams(Family.CYCLE, 3, 2), -1)
 
 
 class TestQuadraticNumber:
