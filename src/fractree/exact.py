@@ -151,9 +151,12 @@ def _predicted_bits(count: FactoredCount) -> float:
 
 def factored_expand(count: FactoredCount, bit_cap: int = DEFAULT_EXPAND_BIT_CAP) -> int:
     """Expand a factored count to an integer; refuse absurdly large results."""
-    if _predicted_bits(count) > bit_cap:
+    bits = _predicted_bits(count)
+    if bits > bit_cap:
+        # the size, never the count: its exponents can pass the int-to-str limit
+        size = "over 10^308" if math.isinf(bits) else f"{bits:.3e}"
         raise OverflowCapError(
-            f"expansion of {count} would exceed {bit_cap} bits"
+            f"expansion would need {size} bits, past the {bit_cap}-bit cap"
         )
     value = 1
     for base, exp in count._factors:

@@ -2,10 +2,12 @@
 
 The vertex/edge counts of both families satisfy coupled first-order
 recurrences that decouple into a single second-order linear recurrence.
-Closed-form (Binet) evaluation is done in the quadratic field Q(sqrt(d))
-with exact rational coordinates, with coefficients re-derived from the
-seed values; the fixed constant expressions that are usually quoted for
-the wheel family fail at j = 0 and are kept only for cross-check reports.
+Closed-form (Binet) evaluation is done exactly in the quadratic field
+Q(sqrt(d)), on integer coordinates over one denominator (a perfect-square
+d is folded into the rational part), with coefficients re-derived from
+the seed values; the fixed constant expressions that are usually quoted
+for the wheel family fail at j = 0 and are kept only for cross-check
+reports.
 
 Index convention: u[j] and e[j] are seeded with u[0] = 1, e[0] = 0 (a
 single bare vertex), so the stage-i graph has u[i+1] vertices and e[i+1]
@@ -30,87 +32,180 @@ from .errors import BadParameterError, DomainViolationError
 from .params import Family, FractalParams
 
 
-@dataclass(frozen=True)
 class QuadraticNumber:
-    """Exact element p + q*sqrt(d) of a real quadratic field."""
+    """Exact element (a + b*sqrt(d)) / c of a real quadratic field.
 
-    p: Fraction
-    q: Fraction
-    d: int
+    The coordinates are plain integers over one denominator, kept reduced:
+    c > 0 and gcd(a, b, c) = 1, so equal values have equal coordinates and
+    every operator is a few integer products and one gcd.  When d = r*r is
+    a perfect square, b*r is folded into a (so b = 0): the value is kept
+    and every nonzero element has an inverse.  The constructor takes the
+    rational coordinates of p + q*sqrt(d) as ints or Fractions, and ``p``
+    and ``q`` give them back as Fractions.  Instances are immutable.
+    """
 
-    def _check(self, other):
-        if self.d != other.d:
-            raise ValueError("mixed radicands")
+    __slots__ = ("_key",)
+
+    def __new__(cls, p, q, d: int):
+        if not isinstance(p, (int, Fraction)) or not isinstance(q, (int, Fraction)):
+            raise TypeError("coordinates must be int or Fraction")
+        c = math.lcm(p.denominator, q.denominator)
+        return _quadratic(p.numerator * (c // p.denominator),
+                          q.numerator * (c // q.denominator), c, d)
+
+    @property
+    def p(self) -> Fraction:
+        a, _, c, _ = self._key
+        return Fraction(a, c)
+
+    @property
+    def q(self) -> Fraction:
+        _, b, c, _ = self._key
+        return Fraction(b, c)
+
+    @property
+    def d(self) -> int:
+        return self._key[3]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return QuadraticNumber, (self.p, self.q, self.d)
+
+    def __eq__(self, other):
+        if isinstance(other, QuadraticNumber):
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def _coords(self, other):
+        # (a, b, c) of the other operand over this d; None if it is no number
+        if isinstance(other, QuadraticNumber):
+            a, b, c, d = other._key
+            if d != self._key[3]:
+                raise ValueError("mixed radicands")
+            return a, b, c
+        if isinstance(other, (int, Fraction)):
+            return other.numerator, 0, other.denominator
+        return None
+
+    def _plus(self, a2: int, b2: int, c2: int) -> "QuadraticNumber":
+        a, b, c, d = self._key
+        return _new(a * c2 + a2 * c, b * c2 + b2 * c, c * c2, d)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(self.p + other, self.q, self.d)
-        self._check(other)
-        return QuadraticNumber(self.p + other.p, self.q + other.q, self.d)
+        y = self._coords(other)
+        return NotImplemented if y is None else self._plus(*y)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticNumber(-self.p, -self.q, self.d)
+        a, b, c, d = self._key
+        return _new(-a, -b, c, d)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadraticNumber) else -Fraction(other))
+        y = self._coords(other)
+        if y is None:
+            return NotImplemented
+        a2, b2, c2 = y
+        return self._plus(-a2, -b2, c2)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(self.p * other, self.q * other, self.d)
-        self._check(other)
-        return QuadraticNumber(
-            self.p * other.p + self.q * other.q * self.d,
-            self.p * other.q + self.q * other.p,
-            self.d,
-        )
+        y = self._coords(other)
+        if y is None:
+            return NotImplemented
+        a, b, c, d = self._key
+        a2, b2, c2 = y
+        return _new(a * a2 + b * b2 * d, a * b2 + b * a2, c * c2, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(self.p / other, self.q / other, self.d)
-        self._check(other)
-        norm = other.p * other.p - other.q * other.q * self.d
+        # x / y = x * conj(y) * c_y / norm(y), with norm(y) = a_y^2 - b_y^2 * d
+        # nonzero for y != 0, since squares of d are folded
+        y = self._coords(other)
+        if y is None:
+            return NotImplemented
+        a, b, c, d = self._key
+        a2, b2, c2 = y
+        norm = a2 * a2 - b2 * b2 * d
         if norm == 0:
             raise ZeroDivisionError("division by zero element")
-        conj = QuadraticNumber(other.p, -other.q, self.d)
-        return (self * conj) / norm
+        return _new((a * a2 - b * b2 * d) * c2, (b * a2 - a * b2) * c2, c * norm, d)
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return _new(other.numerator, 0, other.denominator, self._key[3]) / self
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only non-negative integer powers")
-        result = QuadraticNumber(Fraction(1), Fraction(0), self.d)
-        basis = self
+        a, b, c, d = self._key
+        ra, rb, rc = 1, 0, 1
         while k:
             if k & 1:
-                result = result * basis
-            basis = basis * basis
+                ra, rb, rc = ra * a + rb * b * d, ra * b + rb * a, rc * c
             k >>= 1
-        return result
+            if k:
+                a, b, c = a * a + b * b * d, 2 * a * b, c * c
+        return _new(ra, rb, rc, d)
 
     def to_float(self) -> float:
-        return float(self.p) + float(self.q) * math.sqrt(self.d)
+        # int/int true division is correctly rounded, so a/c and b/c are the
+        # floats of p and q
+        a, b, c, d = self._key
+        return a / c + (b / c) * math.sqrt(d)
 
     def as_exact_int(self) -> int:
         """The value as an integer; raises if it is not one."""
-        root = math.isqrt(self.d)
-        if root * root == self.d:
-            value = self.p + self.q * root
-        elif self.q == 0:
-            value = self.p
-        else:
+        a, b, c, _ = self._key
+        if b:
             raise ValueError(f"{self} is irrational")
-        if value.denominator != 1:
+        if c != 1:
             raise ValueError(f"{self} is not an integer")
-        return value.numerator
+        return a
 
     def __str__(self):
         return f"{self.p} + {self.q}*sqrt({self.d})"
+
+    def __repr__(self):
+        return f"QuadraticNumber({self.p!r}, {self.q!r}, {self.d})"
+
+
+def _new(a: int, b: int, c: int, d: int) -> QuadraticNumber:
+    # reduced to c > 0 and gcd(a, b, c) = 1; an operator's result needs no
+    # fold, since its operands are folded already
+    g = math.gcd(a, b, c)
+    if c < 0:
+        g = -g
+    if g != 1:
+        a, b, c = a // g, b // g, c // g
+    x = object.__new__(QuadraticNumber)
+    object.__setattr__(x, "_key", (a, b, c, d))
+    return x
+
+
+def _quadratic(a: int, b: int, c: int, d: int) -> QuadraticNumber:
+    """(a + b*sqrt(d)) / c from integers, with no Fraction.
+
+    A square d = r*r is folded in as (a + b*r) / c, so no nonzero element
+    has norm 0.
+    """
+    if d >= 0:
+        root = math.isqrt(d)
+        if root * root == d:
+            a, b = a + b * root, 0
+    return _new(a, b, c, d)
 
 
 @dataclass(frozen=True)
@@ -164,15 +259,12 @@ class RecurrenceSpec:
 
     def roots(self) -> tuple:
         d = self.discriminant
-        half = Fraction(1, 2)
-        plus = QuadraticNumber(Fraction(self.a, 2), half, d)
-        minus = QuadraticNumber(Fraction(self.a, 2), -half, d)
-        return plus, minus
+        return _quadratic(self.a, 1, 2, d), _quadratic(self.a, -1, 2, d)
 
     def binet_coefficients(self) -> tuple:
         """Coefficients (A, B) with x_j = A*r+^j + B*r-^j, from the seeds."""
         plus, minus = self.roots()
-        sqrt_d = QuadraticNumber(Fraction(0), Fraction(1), self.discriminant)
+        sqrt_d = _quadratic(0, 1, 1, self.discriminant)
         coeff_plus = (self.u1 - minus * self.u0) / sqrt_d
         coeff_minus = self.u0 - coeff_plus
         return coeff_plus, coeff_minus
@@ -200,7 +292,7 @@ def binet_vertex_fixed_constants(params: FractalParams, j: int) -> QuadraticNumb
     spec = RecurrenceSpec.for_params(params)
     d = spec.discriminant
     a1, a2 = m - n, m + n
-    root = QuadraticNumber(Fraction(0), Fraction(1), d)
+    root = _quadratic(0, 1, 1, d)
     if params.family is Family.CYCLE:
         term = (a1 + root) * (a2 - root) ** j + (root - a1) * (root + a2) ** j
     else:

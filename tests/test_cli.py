@@ -175,6 +175,16 @@ class TestCount:
         assert_clean_error(r, 3)
         assert r.stdout == ""
 
+    @pytest.mark.parametrize("stage, size", [("12", "6.325e+07"), ("20000", "over 10^308")])
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_expansion_over_bit_cap_reports_size_not_digits(self, stage, size, json_flag):
+        # at stage 20000 the count's exponents pass the int-to-str digit limit
+        r = run_cli("count", "cycle", "3", "2", stage, "--method", "formula", *json_flag)
+        assert_clean_error(r, 3)
+        assert r.stdout == ""
+        assert r.stderr == f"error: expansion would need {size} bits, past the 16777216-bit cap\n"
+        assert len(r.stderr) < 200
+
     def test_count_over_int_str_digit_limit(self):
         # 2^6883*3^22720 has 12,913 digits, over the interpreter's 4,300
         r = run_cli("count", "cycle", "3", "2", "7")

@@ -41,6 +41,14 @@ class TestFactoredExpand:
         with pytest.raises(OverflowCapError):
             factored_expand(FactoredCount({2: 100}), bit_cap=64)
 
+    def test_overflow_message_gives_size_not_digits(self):
+        with pytest.raises(OverflowCapError) as exc:
+            factored_expand(FactoredCount({2: 10**9}))
+        assert str(exc.value) == "expansion would need 1.000e+09 bits, past the 16777216-bit cap"
+        with pytest.raises(OverflowCapError) as exc:
+            factored_expand(FactoredCount({3: 10**400}), bit_cap=64)
+        assert str(exc.value) == "expansion would need over 10^308 bits, past the 64-bit cap"
+
     def test_huge_exponent_rejected_without_computing(self):
         with pytest.raises(OverflowCapError):
             factored_expand(FactoredCount({3: 10**100}))

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractree.construct import build
 from fractree.errors import BadParameterError, DomainViolationError
@@ -132,6 +134,116 @@ class TestQuadraticNumber:
         with pytest.raises(ZeroDivisionError):
             QuadraticNumber(Fraction(1), Fraction(0), 5) / zero
 
+    def test_division_by_zero_element_square_radicand(self):
+        zero = QuadraticNumber(Fraction(2), Fraction(-1), 4)  # 2 - sqrt(4) = 0
+        with pytest.raises(ZeroDivisionError):
+            QuadraticNumber(Fraction(1), Fraction(0), 4) / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / zero
+
+    @pytest.mark.parametrize("n, m, d, root", [(3, 3, 49, 7), (4, 7, 196, 13)])
+    def test_inverse_of_dominant_root_square_radicand(self, n, m, d, root):
+        spec = RecurrenceSpec.for_params(FractalParams(Family.WHEEL, n, m))
+        lam = spec.roots()[0]
+        assert (spec.discriminant, lam.as_exact_int()) == (d, root)
+        inverse = QuadraticNumber(Fraction(1, root), Fraction(0), d)
+        assert QuadraticNumber(1, 0, d) / lam == inverse
+        assert 1 / lam == inverse
+        assert Fraction(1) / lam == inverse
+        assert (1 / lam) * lam == QuadraticNumber(1, 0, d)
+
+    def test_division_roundtrip_square_radicand(self):
+        for d in (4, 49, 196):
+            x = QuadraticNumber(Fraction(3, 5), Fraction(-2), d)
+            y = QuadraticNumber(Fraction(1), Fraction(5, 7), d)
+            assert (x / y) * y == x
+
+    def test_reverse_division(self):
+        x = QuadraticNumber(Fraction(1, 2), Fraction(1, 2), 5)  # golden ratio
+        assert 1 / x == x - 1
+        assert Fraction(3, 2) / x == (x - 1) * Fraction(3, 2)
+        with pytest.raises(TypeError):
+            1.0 / x
+
+
+SMALL = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+RADICANDS = st.sampled_from([2, 3, 5, 13, 4, 49, 196])
+
+
+def _ref(p, q, d):
+    """(p, q) of p + q*sqrt(d) as Fractions, with sqrt(d) = r when d = r*r."""
+    r = math.isqrt(d)
+    return (p + q * r, Fraction(0)) if r * r == d else (Fraction(p), Fraction(q))
+
+
+def _ref_mul(x, y, d):
+    (p, q), (p2, q2) = x, y
+    return p * p2 + q * q2 * d, p * q2 + q * p2
+
+
+def _ref_div(x, y, d):
+    (p, q), (p2, q2) = x, y
+    norm = p2 * p2 - q2 * q2 * d
+    return (p * p2 - q * q2 * d) / norm, (q * p2 - p * q2) / norm
+
+
+def _coords(z):
+    return z.p, z.q
+
+
+class TestQuadraticNumberProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(SMALL, SMALL, SMALL, SMALL, RADICANDS, st.integers(0, 8))
+    def test_matches_fraction_reference(self, p, q, p2, q2, d, k):
+        x, y = QuadraticNumber(p, q, d), QuadraticNumber(p2, q2, d)
+        rx, ry = _ref(p, q, d), _ref(p2, q2, d)
+        assert _coords(x) == rx
+        assert _coords(x + y) == (rx[0] + ry[0], rx[1] + ry[1])
+        assert _coords(x - y) == (rx[0] - ry[0], rx[1] - ry[1])
+        assert _coords(x * y) == _ref_mul(rx, ry, d)
+        assert _coords(x + p2) == _coords(p2 + x) == (rx[0] + p2, rx[1])
+        assert _coords(p2 - x) == (p2 - rx[0], -rx[1])
+        assert _coords(x * p2) == _coords(p2 * x) == (rx[0] * p2, rx[1] * p2)
+        if ry == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        else:
+            assert _coords(x / y) == _ref_div(rx, ry, d)
+            assert _coords(p / y) == _ref_div((p, Fraction(0)), ry, d)
+        power = (Fraction(1), Fraction(0))
+        for _ in range(k):
+            power = _ref_mul(power, rx, d)
+        assert _coords(x**k) == power
+
+    @settings(max_examples=50, deadline=None)
+    @given(SMALL, SMALL, SMALL, SMALL, st.sampled_from([2, 3, 5, 13]))
+    def test_to_float_bit_identical(self, p, q, p2, q2, d):
+        x = QuadraticNumber(p, q, d)
+        assert x.to_float().hex() == (float(p) + float(q) * math.sqrt(d)).hex()
+        pq = _ref_mul((p, q), (p2, q2), d)
+        product = x * QuadraticNumber(p2, q2, d)
+        assert product.to_float().hex() == (float(pq[0]) + float(pq[1]) * math.sqrt(d)).hex()
+
+    @settings(max_examples=50, deadline=None)
+    @given(SMALL, SMALL, SMALL, SMALL, RADICANDS)
+    def test_equal_values_hash_equal(self, p, q, p2, q2, d):
+        x, y = QuadraticNumber(p, q, d), QuadraticNumber(p2, q2, d)
+        same = QuadraticNumber(*_ref(p, q, d), d)
+        assert x == same and hash(x) == hash(same)
+        if y != QuadraticNumber(0, 0, d):
+            z = x * y / y
+            assert z == x and hash(z) == hash(x)
+        assert {x, same} == {x}
+
+    @settings(max_examples=25)
+    @given(SMALL, SMALL, RADICANDS)
+    def test_immutable(self, p, q, d):
+        x = QuadraticNumber(p, q, d)
+        for name in ("p", "q", "d", "_key", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+        assert _coords(x) == _ref(p, q, d)
+
 
 class TestBinet:
     def test_fixture_values(self):
@@ -147,6 +259,21 @@ class TestBinet:
                     u = size_sequences(p, 40).u
                     for j in range(41):
                         assert binet_vertex(p, j) == u[j]
+
+    def test_perfect_square_wheel_cells(self):
+        # every wheel cell of n 3-64, m 2-64 whose discriminant is a square
+        cells = 0
+        for n in range(3, 65):
+            for m in range(2, 65):
+                p = FractalParams(Family.WHEEL, n, m)
+                spec = RecurrenceSpec.for_params(p)
+                if math.isqrt(spec.discriminant) ** 2 != spec.discriminant:
+                    continue
+                cells += 1
+                assert [binet_vertex(p, j) for j in range(41)] == list(size_sequences(p, 40).u)
+                lam = spec.roots()[0]
+                assert (1 / lam) * lam == QuadraticNumber(1, 0, spec.discriminant)
+        assert cells == 97
 
     def test_fixed_constants_match_for_cycles(self):
         p = FractalParams(Family.CYCLE, 3, 2)
