@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 3 resource cap exceeded.  All data outputs are deterministic: repeated
 runs on the same inputs are byte-identical.
+
+Every command that steps a recurrence is refused (exit 3) before any work
+when the numbers it would reach pass a cap: a stage, ``--iters`` or a
+wheel's base order n predicts the bit length of the largest count it
+steps to, and ``invariants sizes`` the digits it would print.
 """
 
 from __future__ import annotations
@@ -10,11 +15,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import construct, clustering, sequences, spanning, verify
 from .errors import DomainViolationError, FractreeError, OverflowCapError, SizeCapError
-from .exact import decimal_str, factored_expand
+from .exact import decimal_str, factored_expand, short_count_str
 from .graph import (
     block_census,
     degree_histogram,
@@ -31,8 +37,54 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
+# the largest vertex count a command may step a recurrence to, and the most
+# digits `invariants sizes` may print
+MAX_RECURRENCE_BITS = 1 << 16
+MAX_SIZES_DIGITS = 1 << 24
+# a wheel's base count L_2n - 2 is a factored count's base, and prints as a
+# JSON int only within the interpreter's default int-to-str digit limit
+MAX_WHEEL_BASE_DIGITS = 4300
+_LOG10_GOLDEN = math.log10((1 + math.sqrt(5)) / 2)
+
+
 class _UsageError(Exception):
     pass
+
+
+def _check_cap(count: int, per: float, cap: int, unit: str, what: str) -> None:
+    """Refuse (exit 3) when count * per, predicted in floats, passes cap.
+
+    ``count`` may be an int of thousands of digits, so the product is only
+    formed for the message, and shown as "over 10^308" past float range.
+    """
+    if count > cap / per:
+        try:
+            size = f"about {count * per:.3e}"
+        except OverflowError:
+            size = "over 10^308"
+        raise OverflowCapError(f"{what} {size} {unit}s, past the {cap}-{unit} cap")
+
+
+def _growth(params: FractalParams, log) -> float:
+    """log of the dominant root (a + sqrt(a*a + 4b)) / 2 of the vertex
+    recurrence, in floats; 4b / a^2 lies in (-1, 1] even for huge n and m."""
+    spec = sequences.RecurrenceSpec.for_params(params)
+    return log(spec.a) + log((1 + math.sqrt(1 + 4 * spec.b / spec.a**2)) / 2)
+
+
+def _check_steps(params: FractalParams, k: int, what: str) -> None:
+    """Refuse a command that would step the vertex count to u_k, about
+    k * log2(root) bits, past MAX_RECURRENCE_BITS."""
+    _check_cap(k, _growth(params, math.log2), MAX_RECURRENCE_BITS, "bit",
+               f"{what} would step vertex counts to")
+
+
+def _check_wheel_base(params: FractalParams) -> None:
+    """Refuse a wheel whose base count L_2n - 2, about 2n * log10(golden
+    ratio) digits, would pass MAX_WHEEL_BASE_DIGITS."""
+    if params.family is Family.WHEEL:
+        _check_cap(2 * params.n, _LOG10_GOLDEN, MAX_WHEEL_BASE_DIGITS, "digit",
+                   f"wheel n = {short_count_str(params.n)} would step its base count to")
 
 
 @functools.cache
@@ -106,7 +158,10 @@ def _resolve_params(args, default_stage=None) -> FractalParams:
         family = Family(family)
     except ValueError:
         raise _UsageError(f"unknown family {family!r}") from None
-    return FractalParams(family, n, m, i)
+    params = FractalParams(family, n, m, i)
+    # the stage-i graph has u_{i+1} vertices
+    _check_steps(params, params.i + 1, f"stage {short_count_str(params.i)}")
+    return params
 
 
 def _emit(text: str, out_path) -> None:
@@ -137,11 +192,11 @@ def _cmd_count(args) -> int:
     params = _resolve_params(args, default_stage=0)
     results = {}
     if args.method in ("formula", "all"):
+        _check_wheel_base(params)
         results["formula"] = spanning.tau_closed(params)
     if args.method in ("matrix-tree", "all"):
-        # refuse before building: the size recurrence gives the vertex count
-        vertex_count = sequences.size_sequences(params, params.i + 1).u[params.i + 1]
-        spanning.check_oracle_cap(vertex_count)
+        # refuse before building: index doubling gives the vertex count
+        spanning.check_oracle_cap(sequences.vertex_count(params, params.i + 1))
     if args.method in ("matrix-tree", "blocks", "all"):
         g = construct.build(params)
         if args.method in ("matrix-tree", "all"):
@@ -190,6 +245,8 @@ def _cmd_invariants(args) -> int:
     if args.which == "entropy":
         params = _resolve_params(args, default_stage=0)
         iters = 60 if args.iters is None else args.iters
+        _check_wheel_base(params)
+        _check_steps(params, iters + 1, f"--iters {short_count_str(iters)}")
         off, same = sequences.entropy_estimates(params, iters)
         lines.append(f"offset-stage: {_fmt10(off.value)} (delta {off.delta:.3e})")
         lines.append(f"same-stage: {_fmt10(same.value)} (delta {same.delta:.3e})")
@@ -211,8 +268,13 @@ def _cmd_invariants(args) -> int:
         lines.append(json.dumps(payload, indent=2))
     elif args.which == "sizes":
         params = _resolve_params(args, default_stage=0)
-        upto = 10 if args.upto is None else args.upto
-        seq = sequences.size_sequences(params, max(upto, params.i + 1))
+        upto = max(10 if args.upto is None else args.upto, params.i + 1)
+        what = f"invariants sizes to index {short_count_str(upto)}"
+        _check_steps(params, upto, what)
+        # u_j and e_j have about j * log10(root) digits each
+        _check_cap(upto * upto, _growth(params, math.log10), MAX_SIZES_DIGITS, "digit",
+                   f"{what} would print")
+        seq = sequences.size_sequences(params, upto)
         lines.append(f"u: {', '.join(map(decimal_str, seq.u))}")
         lines.append(f"e: {', '.join(map(decimal_str, seq.e))}")
         lines.append(
@@ -221,19 +283,20 @@ def _cmd_invariants(args) -> int:
         )
     elif args.which == "census":
         params = _resolve_params(args)
+        # build first: the build's vertex cap bounds the predictions' work
+        actual = block_census(construct.build(params))
         census = construct.copy_census(params)
         for t in sorted(census.stage_counts, reverse=True):
             lines.append(f"stage-{t} copies: {census.stage_counts[t]}")
         lines.append(f"central: {census.central}")
         predicted = construct.predicted_block_multiset(params)
         lines.append(f"predicted blocks: {format_block_census(predicted)}")
-        actual = block_census(construct.build(params))
         lines.append(f"structural blocks: {format_block_census(actual)}")
         lines.append(f"match: {actual == predicted}")
     else:  # degrees
         params = _resolve_params(args)
-        predicted = clustering.degree_census_predicted(params)
         actual = degree_histogram(construct.build(params))
+        predicted = clustering.degree_census_predicted(params)
         lines.append(
             "predicted: " + "; ".join(f"{d}:{c}" for d, c in sorted(predicted.items()))
         )

@@ -26,6 +26,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import BadParameterError, InvalidVertexSetError, SizeCapError
+from .exact import short_count_str
 from .graph import ROLE_CODE, Graph, VertexRole
 from .params import Family, FractalParams
 
@@ -128,19 +129,21 @@ def glv(g: Graph, family: Family, n: int, eligible, birth: int | None = None) ->
 def build(params: FractalParams, max_vertices: int | None = None) -> Graph:
     """Construct the stage-i graph for the given parameters.
 
-    The predicted vertex count is checked against the cap (default 10^6,
-    overridable via the FRACTREE_MAX_VERTICES environment variable) before
-    any construction happens.
+    The predicted vertex count, reached by index doubling, is checked
+    against the cap (default 10^6, overridable via the FRACTREE_MAX_VERTICES
+    environment variable) before any construction happens.
     """
-    from .sequences import size_sequences
+    from .sequences import size_sequences, vertex_count
 
     cap = _max_vertices(max_vertices)
-    seq = size_sequences(params, params.i + 1)
-    if seq.u[params.i + 1] > cap:
+    vertices = vertex_count(params, params.i + 1)
+    if vertices > cap:
         raise SizeCapError(
-            f"stage {params.i} graph would have {seq.u[params.i + 1]} vertices, cap is {cap}"
+            f"stage {params.i} graph would have {short_count_str(vertices)} vertices, "
+            f"cap is {cap}"
         )
     g = _build_staged(params)
+    seq = size_sequences(params, params.i + 1)
     assert g.vertex_count == seq.u[params.i + 1]
     assert g.edge_count == seq.e[params.i + 1]
     return g

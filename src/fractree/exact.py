@@ -164,6 +164,15 @@ def factored_expand(count: FactoredCount, bit_cap: int = DEFAULT_EXPAND_BIT_CAP)
     return value
 
 
+def short_count_str(value: int) -> str:
+    """A non-negative count for a one-line message: its digits below 2^64,
+    else a lower bound on its size ("at least 2^k"), so that no message
+    formats a huge integer."""
+    if value < 1 << 64:
+        return str(value)
+    return f"at least 2^{value.bit_length() - 1}"
+
+
 _DECIMAL_LEAF_BITS = 1024
 # str() is quadratic but beats the split below up to about 13,000 digits
 _STR_FASTER_BITS = 40_000

@@ -15,10 +15,11 @@ edges.
 
 The spanning-tree exponents S1(k) = sum of u_j and S2(k) = sum of
 (k-j)*u_j over j <= k have two exact routes.  :func:`_exponent_sums_closed`
-steps u alone and sums the recurrence in closed form; it serves every hot
-path (``tau_closed``, the entropy estimates and the entropy surface).
-:func:`_exponent_sums` keeps running sums over the coupled recurrence and
-stays as the reference that ``verify`` and the tests compare against.
+reaches u_k by index doubling (O(log k) integer products) and sums the
+recurrence in closed form; it serves every hot path (``tau_closed``, the
+entropy estimates and the entropy surface).  :func:`_exponent_sums` keeps
+running sums while it steps the coupled recurrence, and stays as the
+reference that ``verify`` and the tests compare against.
 """
 
 from __future__ import annotations
@@ -336,13 +337,45 @@ def _exponent_sums(params: FractalParams, upto: int):
         u = u_next
 
 
+def _fundamental_pair(a: int, b: int, k: int) -> tuple:
+    """(U_{k-1}, U_k) for k >= 1, where U_0 = 0, U_1 = 1 and
+    U_j = a*U_{j-1} + b*U_{j-2}, by index doubling on the bits of k.
+
+    Doubling maps (U_{j-1}, U_j) to (U_{2j-1}, U_{2j}) =
+    (U_j^2 + b*U_{j-1}^2, U_j*(a*U_j + 2b*U_{j-1})); a set bit then takes
+    one plain step.  Nothing divides, so b = 0 needs no special case.
+    """
+    before, u = 0, 1
+    for bit in bin(k)[3:]:
+        before, u = u * u + b * before * before, u * (a * u + 2 * b * before)
+        if bit == "1":
+            before, u = u, a * u + b * before
+    return before, u
+
+
+def vertex_count(params: FractalParams, j: int) -> int:
+    """u_j (the stage-(j-1) graph's vertex count) in O(log j) products.
+
+    With u_0 = 1, u_j = (u_1 - a)*U_j + U_{j+1} for the fundamental
+    sequence U of :func:`_fundamental_pair`.
+    """
+    if j < 0:
+        raise BadParameterError("index must be >= 0")
+    spec = RecurrenceSpec.for_params(params)
+    before, u = _fundamental_pair(spec.a, spec.b, j + 1)
+    return (spec.u1 - spec.a) * before + u
+
+
 def _exponent_sums_closed(params: FractalParams, upto: int) -> tuple:
     """The last two steps of :func:`_exponent_sums` (one if ``upto`` is 0),
     in closed form from three consecutive vertex counts.
 
-    Only u is stepped, by u_j = a*u_{j-1} + b*u_{j-2} of
-    :class:`RecurrenceSpec`.  Summing that recurrence over j = 2..k gives,
-    with D = 1 - a - b (1 - m or n*(1 - m), never 0) and C = 1 + u_1 - a:
+    For k = ``upto``, u_{k-1} = (u_1 - a)*U_{k-1} + U_k and
+    u_k = u_1*U_k + b*U_{k-1} come from one index-doubling walk
+    (:func:`_fundamental_pair`), and u_{k+1} = a*u_k + b*u_{k-1}, with a, b
+    and u_1 of :class:`RecurrenceSpec`.  Summing that recurrence over
+    j = 2..k gives, with D = 1 - a - b (1 - m or n*(1 - m), never 0) and
+    C = 1 + u_1 - a:
 
         D*S1(k) = C - (a+b)*u_k - b*u_{k-1}
         D*S2(k) = k*C - (a+b)*S1(k-1) - b*S1(k-2) - (u_1 - a)
@@ -357,9 +390,9 @@ def _exponent_sums_closed(params: FractalParams, upto: int) -> tuple:
     a, b, u1 = spec.a, spec.b, spec.u1
     if upto == 0:
         return ((1, 0, 1, u1),)
-    before, u = 1, u1
-    for _ in range(upto - 1):
-        before, u = u, a * u + b * before
+    fundamental_before, fundamental = _fundamental_pair(a, b, upto)
+    before = (u1 - a) * fundamental_before + fundamental
+    u = u1 * fundamental + b * fundamental_before
     d, c = 1 - a - b, 1 + u1 - a
     s1, r1 = divmod(c - (a + b) * u - b * before, d)
     s1_prev = s1 - u
@@ -391,9 +424,10 @@ _ENTROPY_ITERS = 60
 
 
 def entropy_estimates(params: FractalParams, iters: int = _ENTROPY_ITERS) -> tuple:
-    """The (offset-stage, same-stage) entropy estimates, both from one pass
-    of the exact vertex recurrence and the closed-form exponent sums of its
-    last two steps; :func:`entropy_limit` picks one of them."""
+    """The (offset-stage, same-stage) entropy estimates, both from one
+    index-doubling walk of the exact vertex recurrence and the closed-form
+    exponent sums of its last two steps; :func:`entropy_limit` picks one of
+    them."""
     if iters < 2:
         raise BadParameterError("iters must be >= 2")
     base_count, mult = _entropy_terms(params.family, params.n)
@@ -430,9 +464,19 @@ def entropy_closed(params: FractalParams) -> float:
     """The explicit entropy formulas, evaluated verbatim.
 
     The cycle formula is only stated for n > m and matches the limit.  The
-    wheel formula (constants A, B, C, D below) does not reproduce the
-    numerical limit; callers compare, never assume.
+    wheel formula (constants A, B, C, D in :func:`_entropy_closed_floats`)
+    does not reproduce the numerical limit; callers compare, never assume.
+    An (n, m) whose evaluation passes float range is outside the domain.
     """
+    try:
+        return _entropy_closed_floats(params)
+    except ArithmeticError:
+        raise DomainViolationError(
+            f"entropy formula at n={params.n}, m={params.m} passes float range"
+        ) from None
+
+
+def _entropy_closed_floats(params: FractalParams) -> float:
     n, m = params.n, params.m
     if params.family is Family.CYCLE:
         if not n > m:
@@ -466,9 +510,9 @@ def entropy_closed(params: FractalParams) -> float:
 def entropy_surface_rows(family: Family, n_range, m_range) -> list:
     """(n, m, offset, same, closed-or-None) rows, n-major order.
 
-    Both conventions come from one pass of the vertex recurrence per (n, m)
-    cell, with closed-form exponent sums, and equal :func:`entropy_limit` at
-    its default depth bit for bit.
+    Both conventions come from one index-doubling walk of the vertex
+    recurrence per (n, m) cell, with closed-form exponent sums, and equal
+    :func:`entropy_limit` at its default depth bit for bit.
     """
     rows = []
     for n in n_range:

@@ -26,7 +26,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import BadParameterError, DisconnectedGraphError, SizeCapError
-from .exact import FactoredCount
+from .exact import FactoredCount, short_count_str
 from .graph import Graph, block_shapes, shape_edges
 from .params import Family, FractalParams
 from .sequences import _exponent_sums_closed
@@ -142,7 +142,8 @@ def check_oracle_cap(vertex_count: int, max_vertices: int = DEFAULT_ORACLE_MAX_V
     """Refuse a determinant over more than ``max_vertices`` vertices."""
     if vertex_count > max_vertices:
         raise SizeCapError(
-            f"{vertex_count} vertices exceeds the determinant cap of {max_vertices}"
+            f"{short_count_str(vertex_count)} vertices exceeds the determinant cap "
+            f"of {max_vertices}"
         )
 
 

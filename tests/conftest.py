@@ -1,11 +1,23 @@
 """Shared fixtures."""
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from fractree.graph import Graph, plain_graph
 from fractree.verify import verify_suite
+
+
+@pytest.fixture(scope="session", autouse=True)
+def source_on_subprocess_path():
+    """Let ``python -m fractree`` subprocesses import the package under
+    test from src/, as the test process does, with no install."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture

@@ -7,9 +7,12 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fractree
 from fractree import cli, sequences
@@ -374,6 +377,122 @@ class TestSurface:
         r = run_cli(*command.split())
         assert r.returncode == 0
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+class TestRecurrenceCaps:
+    @pytest.mark.parametrize("args, message", [
+        ("count wheel 64 64 1000000 --method formula",
+         "stage 1000000 would step vertex counts to about 7.270e+06 bits, past the 65536-bit cap"),
+        ("invariants entropy cycle 3 2 --iters 1000000",
+         "--iters 1000000 would step vertex counts to about 2.105e+06 bits, past the 65536-bit cap"),
+        ("invariants sizes cycle 3 2 --upto 20000",
+         "invariants sizes to index 20000 would print about 2.535e+08 digits, "
+         "past the 16777216-digit cap"),
+        ("invariants sizes cycle 3 2 -i 20000",
+         "invariants sizes to index 20001 would print about 2.535e+08 digits, "
+         "past the 16777216-digit cap"),
+        ("generate cycle 3 2 1000000",
+         "stage 1000000 would step vertex counts to about 2.105e+06 bits, past the 65536-bit cap"),
+        ("count wheel 20000 3 0",
+         "wheel n = 20000 would step its base count to about 8.360e+03 digits, "
+         "past the 4300-digit cap"),
+        ("invariants entropy wheel 20000 3",
+         "wheel n = 20000 would step its base count to about 8.360e+03 digits, "
+         "past the 4300-digit cap"),
+        ("count cycle 3 2 " + "9" * 400,
+         "stage at least 2^1328 would step vertex counts to over 10^308 bits, "
+         "past the 65536-bit cap"),
+    ])
+    def test_refused_before_any_work(self, monkeypatch, args, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a recurrence was stepped past the cap")
+
+        for name in ("_exponent_sums_closed", "size_sequences", "vertex_count"):
+            monkeypatch.setattr(sequences, name, no_work)
+        monkeypatch.setattr(cli.spanning, "tau_wheel_base", no_work)
+        r = run_cli(*args.split())
+        assert_clean_error(r, 3)
+        assert r.stdout == ""
+        assert r.stderr == f"error: {message}\n"
+
+    def test_under_the_caps(self):
+        # the largest wheel base that prints as a JSON int, and deep stages
+        # that reach the vertex and determinant caps without a traceback
+        r = run_cli("count", "wheel", "10250", "3", "0", "--json")
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["formula"]["digits"] == 4285
+        r = run_cli("generate", "cycle", "3", "2", "20000")
+        assert r.stderr == ("error: stage 20000 graph would have at least 2^42106 vertices, "
+                            "cap is 1000000\n")
+        r = run_cli("count", "cycle", "3", "2", "3000", "--method", "matrix-tree")
+        assert r.stderr == "error: at least 2^6317 vertices exceeds the determinant cap of 25000\n"
+        for which in ("census", "degrees", "clustering"):
+            assert_clean_error(run_cli("invariants", which, "wheel", "4", "3", "30000"), 3)
+
+    def test_entropy_closed_form_past_float_range(self):
+        r = run_cli("invariants", "entropy", "wheel", "600", "3")
+        assert r.returncode == 0
+        assert r.stdout.endswith(
+            "closed-form: not applicable (entropy formula at n=600, m=3 passes float range)\n"
+        )
+
+
+_FUZZ_BUDGET_S = 2.0
+_FUZZ_NUMBERS = st.one_of(
+    st.integers(-3, 40),
+    st.integers(10**5, 10**60),
+    st.sampled_from([10**4000, -(10**4000)]),
+).map(str) | st.sampled_from(["", "x", "1.5", "1e9", "0x10", "-", "3..", "9" * 5000])
+_FUZZ_FAMILIES = st.sampled_from(["cycle", "wheel", "tree", ""])
+
+
+def _optional(flag, values):
+    return st.just([]) | values.map(lambda v: [flag, v])
+
+
+def _fuzz_argvs():
+    stage = st.just([]) | _FUZZ_NUMBERS.map(lambda v: [v])
+    params = st.tuples(_FUZZ_FAMILIES, _FUZZ_NUMBERS, _FUZZ_NUMBERS).map(list)
+    ranges = _FUZZ_NUMBERS | st.tuples(_FUZZ_NUMBERS, _FUZZ_NUMBERS).map("..".join)
+    parts = {
+        "generate": [params, stage,
+                     _optional("--format", st.sampled_from(["edgelist", "json", "dot", "png"]))],
+        "count": [params, stage,
+                  _optional("--method",
+                            st.sampled_from(["formula", "matrix-tree", "blocks", "all", "x"])),
+                  st.sampled_from([[], ["--json"]])],
+        "invariants": [st.sampled_from(
+                           ["entropy", "clustering", "sizes", "census", "degrees", "x"]
+                       ).map(lambda w: [w]),
+                       params, stage,
+                       _optional("--iters", _FUZZ_NUMBERS), _optional("--upto", _FUZZ_NUMBERS)],
+        "surface": [st.tuples(_FUZZ_FAMILIES, ranges, ranges).map(list)],
+        "verify": [st.sampled_from([[], ["--quick"], ["--bogus"]])],
+    }
+    return st.one_of(
+        st.tuples(*strategies).map(lambda lists, c=command: [c] + sum(lists, []))
+        for command, strategies in parts.items()
+    )
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_fuzz_argvs())
+    def test_every_command_exits_cleanly(self, argv):
+        may_mismatch = argv[0] == "verify" or any(
+            argv[k:k + 2] == ["--method", "all"] for k in range(len(argv))
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("FRACTREE_MAX_VERTICES", "3000")
+            start = time.perf_counter()
+            r = run_cli(*argv)
+            elapsed = time.perf_counter() - start
+        assert r.returncode in ({0, 1, 2, 3} if may_mismatch else {0, 2, 3})
+        assert "Traceback" not in r.stderr
+        if r.returncode:
+            assert r.stderr.startswith(("error: ", "usage: "))
+        assert elapsed < _FUZZ_BUDGET_S
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,7 @@ from fractree.sequences import (
     entropy_limit,
     entropy_surface_rows,
     size_sequences,
+    vertex_count,
 )
 from fractree.spanning import tau_wheel_base
 
@@ -68,6 +69,15 @@ class TestSizeSequences:
         with pytest.raises(BadParameterError):
             size_sequences(FractalParams(Family.CYCLE, 3, 2), -1)
 
+    def test_vertex_count_by_doubling(self):
+        for family in Family:
+            for n, m in [(3, 2), (3, 3), (4, 7), (9, 7)]:
+                p = FractalParams(family, n, m)
+                u = size_sequences(p, 40).u
+                assert [vertex_count(p, j) for j in range(41)] == list(u)
+        with pytest.raises(BadParameterError):
+            vertex_count(FractalParams(Family.CYCLE, 3, 2), -1)
+
 
 class TestExponentSums:
     @pytest.mark.parametrize("family", list(Family))
@@ -92,6 +102,20 @@ class TestExponentSums:
                 steps = list(_exponent_sums(p, 400))
                 for k in range(401):
                     assert _exponent_sums_closed(p, k) == tuple(steps[max(k - 1, 0):k + 1])
+        # deep k on either side of powers of two, where the doubling walk
+        # takes its longest runs of set and clear bits; wheel-3-3 (b = 0,
+        # d = 49) and wheel-4-7 (d = 196) have perfect-square discriminants
+        deep = {4095, 4096, 4097, 511, 512, 513, 1024}
+        cells = {Family.CYCLE: [(3, 2), (7, 3)], Family.WHEEL: [(3, 3), (4, 7), (5, 2)]}
+        for n, m in cells[family]:
+            p = FractalParams(family, n, m)
+            u = size_sequences(p, max(deep) + 1).u
+            previous = None
+            for k, step in enumerate(_exponent_sums(p, max(deep))):
+                if k in deep:
+                    assert _exponent_sums_closed(p, k) == (previous, step)
+                    assert step[2] == u[k] == vertex_count(p, k)
+                previous = step
 
     def test_closed_form_stays_integer(self):
         assert RecurrenceSpec.for_params(FractalParams(Family.WHEEL, 3, 3)).b == 0
