@@ -24,10 +24,10 @@ from .exact import decimal_str, factored_expand, short_count_str
 from .graph import (
     block_census,
     degree_histogram,
+    dot_chunks,
+    edgelist_chunks,
     format_block_census,
-    to_dot,
-    to_edgelist_text,
-    to_json_text,
+    json_chunks,
 )
 from .params import Family, FractalParams
 
@@ -164,27 +164,26 @@ def _resolve_params(args, default_stage=None) -> FractalParams:
     return params
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(chunks, out_path) -> None:
+    """Write the strings of ``chunks`` to ``out_path``, or to stdout, as
+    they come."""
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise _UsageError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+_EXPORTS = {"edgelist": edgelist_chunks, "json": json_chunks, "dot": dot_chunks}
 
 
 def _cmd_generate(args) -> int:
     params = _resolve_params(args, default_stage=0)
     g = construct.build(params)
-    if args.format == "edgelist":
-        text = to_edgelist_text(g)
-    elif args.format == "json":
-        text = to_json_text(g)
-    else:
-        text = to_dot(g)
-    _emit(text, args.out)
+    _emit(_EXPORTS[args.format](g), args.out)
     return EXIT_OK
 
 
@@ -217,7 +216,7 @@ def _cmd_count(args) -> int:
             payload[method] = {**entry, "decimal": text, "digits": len(text)}
         if args.method == "all":
             payload["agree"] = agree
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     else:
         lines = []
         for method, text in texts.items():
@@ -225,7 +224,7 @@ def _cmd_count(args) -> int:
             lines.append(f"{method}: {shown} ({len(text)} digits)")
         if args.method == "all":
             lines.append("agreement: all methods agree" if agree else "agreement: DISAGREEMENT")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_MISMATCH if args.method == "all" and not agree else EXIT_OK
 
 
@@ -304,7 +303,7 @@ def _cmd_invariants(args) -> int:
             "built: " + "; ".join(f"{d}:{c}" for d, c in sorted(actual.items()))
         )
         lines.append(f"match: {actual == predicted}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -339,7 +338,7 @@ def _cmd_surface(args) -> int:
     for n, m, offset, same, closed in rows:
         closed_text = _fmt10(closed) if closed is not None else ""
         out.append(f"{family.value},{n},{m},{_fmt10(offset)},{_fmt10(same)},{closed_text}")
-    _emit("\n".join(out) + "\n", args.out)
+    _emit(["\n".join(out) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -347,7 +346,7 @@ def _cmd_verify(args) -> int:
     report = verify.verify_suite("quick" if args.quick else "full")
     sys.stdout.write(report.to_table_text())
     if args.json_path:
-        _emit(report.to_json_text(), args.json_path)
+        _emit([report.to_json_text()], args.json_path)
     return report.exit_code
 
 

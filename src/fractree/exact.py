@@ -84,10 +84,18 @@ class FactoredCount:
     def __str__(self):
         if not self._factors:
             return "1"
-        return "*".join(f"{b}^{e}" for b, e in self._factors)
+        return "*".join(f"{decimal_str(b)}^{decimal_str(e)}" for b, e in self._factors)
 
     def to_json(self) -> dict:
-        return {"factors": [[b, str(e)] for b, e in self._factors]}
+        """``{"factors": [[base, "exponent"], ...]}``: bases as ints, exponents
+        as decimal strings.
+
+        A base past the interpreter's int-to-str digit limit (4300 digits by
+        default) makes the dict fail in ``json.dumps``; the CLI refuses such
+        wheels first (``cli.MAX_WHEEL_BASE_DIGITS``), which is what keeps
+        every base it prints within the limit.
+        """
+        return {"factors": [[b, decimal_str(e)] for b, e in self._factors]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "FactoredCount":

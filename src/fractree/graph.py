@@ -12,9 +12,11 @@ import json
 from array import array
 from bisect import bisect_left
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from itertools import chain, islice
+from typing import Iterable, Iterator, Optional
 
 from .errors import DisconnectedGraphError, InvalidVertexError
 from .params import FractalParams
@@ -290,6 +292,22 @@ def format_block_census(census: dict) -> str:
     return "; ".join(f"{k}x{v}" for k, v in sorted(census.items()))
 
 
+@contextmanager
+def gc_paused():
+    """Pause cyclic garbage collection inside a with-block, then restore it.
+
+    Passes that allocate millions of small acyclic objects (tuples, lists,
+    ints) would otherwise set off collections that free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _block_walk(g: Graph) -> list:
     """``(head, members)`` of every biconnected component, in post-order:
     blocks headed at a member close before the member's own block.
@@ -300,17 +318,14 @@ def _block_walk(g: Graph) -> list:
     found since v, in discovery order, are its members.  The edge back to a
     vertex's parent may lower its ``low`` to the parent's discovery time,
     which changes no ``low[v] >= disc[u]`` test, so it is not skipped.
-    Cyclic garbage collection is paused for the walk: its many small
-    allocations would set off collections that free nothing.
+    Cyclic garbage collection is paused for the walk (:func:`gc_paused`).
     """
     adj = g._adj
     n = len(adj)
     if n <= 1:
         return []
 
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         disc = [0] * n  # discovery time from 1; 0 while unvisited
         low = [0] * n
         depth = [0] * n  # where a vertex sits in `pending`
@@ -348,9 +363,6 @@ def _block_walk(g: Graph) -> list:
         if timer <= n:
             raise DisconnectedGraphError("block decomposition requires a connected graph")
         return out
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _block_edges(adj, head, members) -> list:
@@ -433,9 +445,36 @@ def _is_single_cycle(adj: dict) -> bool:
     return cur == start and len(visited) == len(adj)
 
 
+# An export is made in chunks of at least _CHUNK_CHARS characters (the last
+# may be shorter), each joined from parts of _PART_ITEMS lines or entries,
+# so that writing one takes one large write and holding one stays small.
+_CHUNK_CHARS = 1 << 16
+_PART_ITEMS = 1 << 10
+
+
+def _chunked(items: Iterator[str]) -> Iterator[str]:
+    """The strings of ``items``, joined into chunks of _CHUNK_CHARS or more."""
+    parts = []
+    size = 0
+    while part := "".join(islice(items, _PART_ITEMS)):
+        parts.append(part)
+        size += len(part)
+        if size >= _CHUNK_CHARS:
+            yield "".join(parts)
+            parts = []
+            size = 0
+    if parts:
+        yield "".join(parts)
+
+
+def edgelist_chunks(g: Graph) -> Iterator[str]:
+    """:func:`to_edgelist_text` in chunks, for writing as they are made."""
+    return _chunked(f"{u} {v}\n" for u, v in g.edges())
+
+
 def to_edgelist_text(g: Graph) -> str:
     """One "u v" line per edge, u < v, ascending lexicographic."""
-    return "".join(f"{u} {v}\n" for u, v in g.edges())
+    return "".join(edgelist_chunks(g))
 
 
 def _json_header(g: Graph) -> dict:
@@ -460,24 +499,34 @@ def to_json_dict(g: Graph) -> dict:
     }
 
 
-def to_json_text(g: Graph) -> str:
-    """``json.dumps(to_json_dict(g), indent=2) + "\\n"``, byte for byte.
+def json_chunks(g: Graph) -> Iterator[str]:
+    """:func:`to_json_text` in chunks, for writing as they are made.
 
     With ``indent`` set, CPython's ``json`` runs its pure-Python encoder,
-    so the vertex and edge blocks are written here in the same layout.
+    so the vertex and edge entries are written here in the same layout.
     """
     head = json.dumps(_json_header(g), indent=2)[:-2]  # drop the closing "\n}"
     roles = [json.dumps(role.value) for role in ROLES]
-    vertices = ",".join(
-        f'\n    {{\n      "id": {v},\n      "role": {roles[code]},\n      "birth": {birth}\n    }}'
+    vertices = (
+        f',\n    {{\n      "id": {v},\n      "role": {roles[code]},\n      "birth": {birth}\n    }}'
         for v, (code, birth) in enumerate(zip(g._roles, g._births))
     )
-    edges = ",".join(f"\n    [\n      {u},\n      {v}\n    ]" for u, v in g.edges())
-    return f'{head},\n  "vertices": {_json_list(vertices)},\n  "edges": {_json_list(edges)}\n}}\n'
+    edges = (f",\n    [\n      {u},\n      {v}\n    ]" for u, v in g.edges())
+    return _chunked(chain([head, ',\n  "vertices": '], _json_list(vertices),
+                          [',\n  "edges": '], _json_list(edges), ["\n}\n"]))
 
 
-def _json_list(items: str) -> str:
-    return f"[{items}\n  ]" if items else "[]"
+def _json_list(items: Iterator[str]) -> Iterable[str]:
+    """A JSON list of entries that each begin with their "," separator."""
+    first = next(items, None)
+    if first is None:
+        return ["[]"]
+    return chain(["[", first[1:]], items, ["\n  ]"])
+
+
+def to_json_text(g: Graph) -> str:
+    """``json.dumps(to_json_dict(g), indent=2) + "\\n"``, byte for byte."""
+    return "".join(json_chunks(g))
 
 
 _DOT_COLORS = {
@@ -489,13 +538,17 @@ _DOT_COLORS = {
 }
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
+def dot_chunks(g: Graph, name: str = "G") -> Iterator[str]:
+    """:func:`to_dot` in chunks, for writing as they are made."""
     colors = [_DOT_COLORS[role] for role in ROLES]
-    lines = [f"graph {name} {{"]
-    lines.extend(
-        f'  {v} [color={colors[code]}, label="{v}", birth={birth}];'
+    vertices = (
+        f'  {v} [color={colors[code]}, label="{v}", birth={birth}];\n'
         for v, (code, birth) in enumerate(zip(g._roles, g._births))
     )
-    lines.extend(f"  {u} -- {v};" for u, v in g.edges())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = (f"  {u} -- {v};\n" for u, v in g.edges())
+    return _chunked(chain([f"graph {name} {{\n"], vertices, edges, ["}\n"]))
+
+
+def to_dot(g: Graph, name: str = "G") -> str:
+    """The graph in Graphviz DOT, each vertex coloured by its role."""
+    return "".join(dot_chunks(g, name))

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fractree
-from fractree import cli, sequences
+from fractree import cli, construct, sequences
 
 
 def run_cli(*args):
@@ -112,6 +114,22 @@ class TestGenerate:
         assert_clean_error(run_cli("generate", "cycle", "3", "2", "1", "--out", missing), 2)
         assert_clean_error(run_cli("verify", "--quick", "--json", missing), 2)
 
+    def test_cap_refusal_creates_no_out_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.edges"
+        assert_clean_error(run_cli("generate", "cycle", "3", "2", "9", "--out", str(path)), 3)
+        monkeypatch.setenv("FRACTREE_MAX_VERTICES", "10")
+        assert_clean_error(run_cli("generate", "cycle", "3", "2", "1", "--out", str(path)), 3)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["edgelist", "json", "dot"])
+    def test_out_write_failure_exits_2(self, tmp_path, fmt):
+        # a directory cannot be opened; /dev/full fails on the first write
+        targets = [str(tmp_path)] + (["/dev/full"] if os.path.exists("/dev/full") else [])
+        for target in targets:
+            r = run_cli("generate", "wheel", "4", "2", "3", "--format", fmt, "--out", target)
+            assert_clean_error(r, 2)
+            assert r.stderr.count("\n") == 1 and r.stdout == ""
+
     def test_out_file(self, tmp_path):
         path = tmp_path / "g.edges"
         r = run_cli("generate", "cycle", "4", "2", "0", "--out", str(path))
@@ -122,6 +140,31 @@ class TestGenerate:
         a = run_cli("generate", "wheel", "4", "2", "1", "--format", "json")
         b = run_cli("generate", "wheel", "4", "2", "1", "--format", "json")
         assert a.stdout == b.stdout
+
+
+class TestExportMemory:
+    # what an export may hold at once beyond the build's own peak: a few
+    # chunks, whatever the size of the graph (its texts here are 0.2-2 MiB)
+    BUDGET = 1 << 19
+
+    @pytest.mark.parametrize("fmt", ["edgelist", "json", "dot"])
+    def test_streamed_export_adds_a_bounded_budget(self, tmp_path, fmt):
+        path = tmp_path / f"g.{fmt}"
+        cli._build_parser()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            construct.build(fractree.FractalParams(fractree.Family.CYCLE, 3, 2, 6))
+            _, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            code = cli.main(["generate", "cycle", "3", "2", "6", "--format", fmt,
+                             "--out", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert path.stat().st_size > 200_000
+        assert peak <= build_peak + self.BUDGET
 
 
 class TestCount:

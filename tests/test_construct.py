@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 from array import array
 
 import pytest
@@ -286,6 +288,24 @@ class TestOnePassBuild:
             to_json_dict(ref), indent=2
         )
         assert to_dot(fast) == to_dot(ref)
+
+
+class TestBuildMemory:
+    @pytest.mark.parametrize("p", [FractalParams(Family.CYCLE, 3, 2, 6),
+                                   FractalParams(Family.WHEEL, 4, 2, 4)],
+                             ids=lambda p: f"{p.family.value}-{p.n}-{p.m}-{p.i}")
+    def test_peak_within_the_graph_it_returns(self, p):
+        # each stage is freed as the next is built, so the build holds
+        # little beyond the finished graph at any moment
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = build(p)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.vertex_count > 9000
+        assert peak <= 1.10 * retained
 
 
 class TestCensus:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractree import Family, FractalParams, tau_closed
 from fractree.errors import OverflowCapError
 from fractree.exact import (
     FactoredCount,
@@ -164,6 +165,24 @@ class TestFactoredCountAlgebra:
     def test_str(self):
         assert str(FactoredCount({3: 16, 2: 5})) == "2^5*3^16"
         assert str(FactoredCount({})) == "1"
+
+    def test_str_and_json_past_the_digit_limit(self):
+        # W_20000 has one base, L_40000 - 2 (8362 digits), printed in full
+        count = tau_closed(FractalParams(Family.WHEEL, 20000, 3, 0))
+        a, b = 2, 1  # Lucas L_0, L_1
+        for _ in range(40000):
+            a, b = b, a + b
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"{a - 2}^1"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(count) == expected
+        assert count.to_json() == {"factors": [[a - 2, "1"]]}
+        huge = FactoredCount({2: 10**5000})
+        assert str(huge) == "2^1" + "0" * 5000
+        assert huge.to_json() == {"factors": [[2, "1" + "0" * 5000]]}
 
     @given(
         st.dictionaries(st.integers(2, 50), st.integers(0, 12), max_size=4),

@@ -18,6 +18,9 @@ from fractree.graph import (
     block_shapes,
     blocks,
     degree_histogram,
+    dot_chunks,
+    edgelist_chunks,
+    json_chunks,
     laplacian_minor,
     plain_graph,
     to_dot,
@@ -359,6 +362,7 @@ class TestSerialization:
         [
             (Family.CYCLE, 3, 2, 0),
             (Family.CYCLE, 3, 2, 3),
+            (Family.CYCLE, 3, 2, 6),
             (Family.CYCLE, 5, 3, 2),
             (Family.WHEEL, 3, 2, 0),
             (Family.WHEEL, 4, 2, 2),
@@ -373,6 +377,35 @@ class TestSerialization:
         single = Graph.from_edges(bytearray([ROLE_CODE[VertexRole.FRESH_HUB]]), array("i", [2]), [])
         for g in (base(Family.CYCLE, 4), plain_graph(5, _TWO_TRIANGLES), single, plain_graph(0, [])):
             assert to_json_text(g) == json.dumps(to_json_dict(g), indent=2) + "\n"
+
+    @pytest.mark.parametrize("g", [
+        build(FractalParams(Family.CYCLE, 3, 2, 6)),
+        build(FractalParams(Family.WHEEL, 4, 2, 3)),
+        plain_graph(5, _TWO_TRIANGLES),
+        plain_graph(1, []),
+    ], ids=["cycle-3-2-6", "wheel-4-2-3", "two-triangles", "one-vertex"])
+    def test_chunks_join_to_the_whole_text(self, g):
+        edges = list(g.edges())
+        colors = graph._DOT_COLORS
+        dot = ["graph G {"]
+        dot += [f'  {v.id} [color={colors[v.role]}, label="{v.id}", birth={v.birth}];'
+                for v in g.vertices]
+        dot += [f"  {u} -- {v};" for u, v in edges]
+        dot.append("}")
+        whole = {
+            edgelist_chunks: "".join(f"{u} {v}\n" for u, v in edges),
+            json_chunks: json.dumps(to_json_dict(g), indent=2) + "\n",
+            dot_chunks: "\n".join(dot) + "\n",
+        }
+        for chunks, text in whole.items():
+            parts = list(chunks(g))
+            assert "".join(parts) == text
+            # every chunk but the last is one large write, and none is empty
+            assert all(len(part) >= graph._CHUNK_CHARS for part in parts[:-1])
+            assert all(parts)
+        assert to_edgelist_text(g) == whole[edgelist_chunks]
+        assert to_json_text(g) == whole[json_chunks]
+        assert to_dot(g) == whole[dot_chunks]
 
     def test_dot_output(self):
         text = to_dot(base(Family.CYCLE, 3))
