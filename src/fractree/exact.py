@@ -7,7 +7,7 @@ Square integer matrices are plain lists of row lists.
 Spanning-tree counts of the graph families grow so fast that they are kept
 in factored form (:class:`FactoredCount`) and only expanded on demand,
 guarded by a bit cap; :func:`decimal_str` prints an expanded count of any
-size.
+size, and :func:`decimal_int` reads it back.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ class FactoredCount:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FactoredCount":
-        return cls({int(b): int(e) for b, e in obj["factors"]})
+        """The inverse of :meth:`to_json`, for exponent strings of any length."""
+        return cls({int(b): decimal_int(e) for b, e in obj["factors"]})
 
 
 def _coprime_atoms(numbers):
@@ -231,6 +232,33 @@ def decimal_str(value: int) -> str:
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
         return str(convert(value, value.bit_length()))
+
+
+def decimal_int(text: str) -> int:
+    """The integer whose :func:`decimal_str` is ``text``, of any length.
+
+    ``int(str)`` refuses strings over the interpreter's digit limit.  Past
+    it, ``text`` must be ASCII digits after an optional "-".  They are split
+    in halves down to leaves within the limit, which are joined as
+    ``high * 10**w + low`` with each power of ten made once.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or len(text) <= limit:
+        return int(text)
+    sign, digits = (-1, text[1:]) if text[0] == "-" else (1, text)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: a string of {len(text)} characters")
+    powers = {}
+
+    def convert(s):
+        if len(s) <= limit:
+            return int(s)
+        w = len(s) >> 1
+        if w not in powers:
+            powers[w] = 10**w
+        return convert(s[:-w]) * powers[w] + convert(s[-w:])
+
+    return sign * convert(digits)
 
 
 def _exp_times_log(exp: int, base: int) -> float:

@@ -319,6 +319,18 @@ def _block_walk(g: Graph) -> list:
     vertex's parent may lower its ``low`` to the parent's discovery time,
     which changes no ``low[v] >= disc[u]`` test, so it is not skipped.
     Cyclic garbage collection is paused for the walk (:func:`gc_paused`).
+
+    Degree-2 vertices get no frame of their own.  From v, the walk follows
+    a chain v - c1 - ... - ck - x of unvisited degree-2 vertices in one
+    loop, numbering c1..ck as a frame-by-frame walk would, and stops at the
+    first x that is visited or not of degree 2.  Both edges of each ci are
+    tree edges, so no back edge ends inside a chain:
+    - if x is visited it is v or an ancestor of v; x = v closes the chain
+      as a block headed at v, and otherwise disc[x] lowers low[v];
+    - if x is new it becomes v's child, with ``chained[x] = k``.  When x
+      closes, low[x] >= disc[ck] makes a block headed at ck and then one
+      bridge per chain edge, innermost first; otherwise the chain acts as
+      a single tree edge from v to x.
     """
     adj = g._adj
     n = len(adj)
@@ -329,6 +341,9 @@ def _block_walk(g: Graph) -> list:
         disc = [0] * n  # discovery time from 1; 0 while unvisited
         low = [0] * n
         depth = [0] * n  # where a vertex sits in `pending`
+        # chain vertices between a vertex on the path and its parent; a
+        # dict, not a fourth list of n, as it holds only the open vertices
+        chained = {}
         pending = []
         out = []
 
@@ -340,6 +355,27 @@ def _block_walk(g: Graph) -> list:
             v = path[-1]
             for w in iters[-1]:
                 if not disc[w]:
+                    if len(adj[w]) == 2:
+                        start = len(pending)
+                        prev = v
+                        while True:
+                            disc[w] = timer
+                            timer += 1
+                            pending.append(w)
+                            a, b = adj[w]
+                            x = b if a == prev else a
+                            if disc[x] or len(adj[x]) != 2:
+                                break
+                            prev, w = w, x
+                        if disc[x]:
+                            if x == v:
+                                out.append((v, pending[start:]))
+                                del pending[start:]
+                            elif disc[x] < low[v]:
+                                low[v] = disc[x]
+                            continue
+                        w = x
+                        chained[w] = len(pending) - start
                     disc[w] = low[w] = timer
                     timer += 1
                     depth[w] = len(pending)
@@ -354,10 +390,17 @@ def _block_walk(g: Graph) -> list:
                 iters.pop()
                 if path:
                     u = path[-1]
-                    if low[v] >= disc[u]:
-                        k = depth[v]
-                        out.append((u, pending[k:]))
-                        del pending[k:]
+                    k = depth[v]
+                    c = chained.pop(v, 0)
+                    if c and low[v] >= disc[v] - 1:
+                        # a block headed at ck, then the bridges of u - c1 - ... - ck
+                        line = [u, *pending[k - c:k]]
+                        out.append((line[-1], pending[k:]))
+                        out += [(line[j - 1], [line[j]]) for j in range(c, 0, -1)]
+                        del pending[k - c:]
+                    elif low[v] >= disc[u]:
+                        out.append((u, pending[k - c:]))
+                        del pending[k - c:]
                     elif low[v] < low[u]:
                         low[u] = low[v]
         if timer <= n:

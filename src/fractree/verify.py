@@ -225,7 +225,10 @@ class DiscrepancyReport:
 
 
 def _fmt(value) -> str:
-    return f"{value:.12g}" if isinstance(value, float) else str(value)
+    """A route's value as the report shows it; an int of any size in full."""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return exact.decimal_str(value) if isinstance(value, int) else str(value)
 
 
 def run_check(check: Check) -> CheckResult:

@@ -290,22 +290,34 @@ class TestOnePassBuild:
         assert to_dot(fast) == to_dot(ref)
 
 
+def _traced_build(p):
+    """build(p), with the bytes it still holds once built and its peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = build(p)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return g, retained, peak
+
+
+@pytest.mark.parametrize("p", [FractalParams(Family.CYCLE, 3, 2, 6),
+                               FractalParams(Family.WHEEL, 4, 2, 4)],
+                         ids=lambda p: f"{p.family.value}-{p.n}-{p.m}-{p.i}")
 class TestBuildMemory:
-    @pytest.mark.parametrize("p", [FractalParams(Family.CYCLE, 3, 2, 6),
-                                   FractalParams(Family.WHEEL, 4, 2, 4)],
-                             ids=lambda p: f"{p.family.value}-{p.n}-{p.m}-{p.i}")
     def test_peak_within_the_graph_it_returns(self, p):
         # each stage is freed as the next is built, so the build holds
         # little beyond the finished graph at any moment
-        gc.collect()
-        tracemalloc.start()
-        try:
-            g = build(p)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        g, retained, peak = _traced_build(p)
         assert g.vertex_count > 9000
         assert peak <= 1.10 * retained
+
+    def test_retained_bytes_per_vertex(self, p):
+        # measured 143.2 B per vertex at cycle-3-2-6 and 157.0 at
+        # wheel-4-2-4; the bound is the larger plus 5%
+        g, retained, _ = _traced_build(p)
+        assert retained <= 165 * g.vertex_count
 
 
 class TestCensus:

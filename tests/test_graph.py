@@ -318,8 +318,42 @@ def _assert_blocks_match_networkx(g):
     assert block_census(g) == Counter(b.signature for b in out)
 
 
+def _randomly_subdivided(rng, g):
+    """g with each edge drawn out into a path of 1-4 edges, ids shuffled."""
+    edges = []
+    size = g.vertex_count
+    for u, v in g.edges():
+        inner = rng.randint(0, 3)
+        path = [u, *range(size, size + inner), v]
+        size += inner
+        edges += zip(path, path[1:])
+    perm = list(range(size))
+    rng.shuffle(perm)
+    return plain_graph(size, [(perm[u], perm[v]) for u, v in edges])
+
+
 class TestBlocksAgainstNetworkx:
     """A third implementation of biconnected components, for tests only."""
+
+    def test_subdivided_random_graphs(self):
+        # degree-2 chains of every kind: closing on the vertex they leave
+        # or on an ancestor of it, ending at a new branch vertex, bridges
+        # drawn out into chains, and pendant paths (subdivided tree edges)
+        rng = random.Random(20261018)
+        for k in range(400):
+            base_graph = random_connected_graph(rng, max_n=rng.randint(2, 16), density=1 + k % 2)
+            g = _randomly_subdivided(rng, base_graph)
+            _assert_blocks_match_networkx(g)
+            if g.vertex_count <= 40:
+                assert tau_blocks(g) == tau_oracle(g)
+
+    def test_long_cycle(self):
+        # vertex 0 has degree 2, so the whole walk is one chain back to it
+        n = 1201
+        g = plain_graph(n, [(k, (k + 1) % n) for k in range(n)])
+        _assert_blocks_match_networkx(g)
+        assert [b.signature for b in blocks(g)] == [("cycle", n)]
+        assert tau_blocks(g) == n
 
     def test_random_graphs(self):
         rng = random.Random(20240817)

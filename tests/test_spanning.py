@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractree import spanning
+from fractree import spanning, verify
 from fractree.construct import base, build, ept, glv
 from fractree.errors import BadParameterError, DisconnectedGraphError, SizeCapError
-from fractree.exact import FactoredCount, bareiss_determinant, factored_expand
+from fractree.exact import FactoredCount, bareiss_determinant
 from fractree.graph import Graph, blocks, laplacian_minor, plain_graph
 from fractree.params import Family, FractalParams
 from fractree.spanning import (
@@ -325,6 +325,14 @@ class TestIdentities:
         assert tau_oracle(ept(ept(w, 2), 2)) == 2**8 * 45
 
 
+def _assert_tau_routes_agree(p):
+    """The registry's closed-vs-oracle and oracle-vs-blocks checks for p,
+    run as ``verify`` runs them, both MATCH: the closed form, the
+    matrix-tree determinant and the block product agree."""
+    results = [verify.run_check(check) for check in verify._tau_checks(p, verify.FULL)]
+    assert [r.verdict for r in results] == [verify.MATCH, verify.MATCH], results
+
+
 class TestThreeWayAgreement:
     @pytest.mark.parametrize(
         "family,n,m,i",
@@ -339,12 +347,7 @@ class TestThreeWayAgreement:
         ],
     )
     def test_small_grid(self, family, n, m, i):
-        p = FractalParams(family, n, m, i)
-        g = build(p)
-        closed = factored_expand(tau_closed(p))
-        oracle = tau_oracle(g)
-        product = tau_blocks(g)
-        assert closed == oracle == product
+        _assert_tau_routes_agree(FractalParams(family, n, m, i))
 
     def test_full_grid(self):
         # the whole declared equivalence range plus every stage-3 wheel and
@@ -366,9 +369,4 @@ class TestThreeWayAgreement:
             (Family.WHEEL, 5, 2, 4),
         ]
         for family, n, m, i in grid:
-            p = FractalParams(family, n, m, i)
-            g = build(p)
-            closed = factored_expand(tau_closed(p))
-            oracle = tau_oracle(g)
-            product = tau_blocks(g)
-            assert closed == oracle == product, f"{p}"
+            _assert_tau_routes_agree(FractalParams(family, n, m, i))
