@@ -53,18 +53,18 @@ class ClusteringReport:
     average: Fraction
     vertex_count: int
 
-    def to_json(self, closed_form: Fraction | None = None) -> dict:
-        out = {
+    def to_json(self, closed_form: Fraction) -> dict:
+        """The classes and average beside ``closed_form``, the prediction
+        they are checked against, and whether it matches."""
+        return {
             "classes": [
                 {"coefficient": str(c), "count": k}
                 for c, k in sorted(self.classes.items())
             ],
             "average": str(self.average),
+            "closed_form": str(closed_form),
+            "match": closed_form == self.average,
         }
-        if closed_form is not None:
-            out["closed_form"] = str(closed_form)
-            out["match"] = closed_form == self.average
-        return out
 
 
 def average_clustering(g: Graph) -> ClusteringReport:

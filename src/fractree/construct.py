@@ -29,25 +29,23 @@ from .errors import BadParameterError, InvalidVertexSetError, SizeCapError
 from .exact import short_count_str
 from .graph import ROLE_CODE, Graph, VertexRole, gc_paused
 from .params import Family, FractalParams
+from .sequences import size_sequences, vertex_count
 
 DEFAULT_MAX_VERTICES = 10**6
 MAX_VERTICES_ENV = "FRACTREE_MAX_VERTICES"
 
 
-def _max_vertices(cap=None) -> int:
-    if cap is not None:
-        setting, value = "max_vertices", cap
-    else:
-        value = os.environ.get(MAX_VERTICES_ENV)
-        if not value:
-            return DEFAULT_MAX_VERTICES
-        setting = MAX_VERTICES_ENV
+def _max_vertices() -> int:
+    """The build cap: ``FRACTREE_MAX_VERTICES`` if set, else the default."""
+    value = os.environ.get(MAX_VERTICES_ENV)
+    if not value:
+        return DEFAULT_MAX_VERTICES
     try:
         parsed = int(value)
     except ValueError:
         parsed = 0
     if parsed < 1:
-        raise BadParameterError(f"{setting} must be a positive integer, got {value!r}")
+        raise BadParameterError(f"{MAX_VERTICES_ENV} must be a positive integer, got {value!r}")
     return parsed
 
 
@@ -126,16 +124,16 @@ def glv(g: Graph, family: Family, n: int, eligible, birth: int | None = None) ->
     return Graph.from_edges(roles, births, edges)
 
 
-def build(params: FractalParams, max_vertices: int | None = None) -> Graph:
+def build(params: FractalParams) -> Graph:
     """Construct the stage-i graph for the given parameters.
 
     The predicted vertex count, reached by index doubling, is checked
-    against the cap (default 10^6, overridable via the FRACTREE_MAX_VERTICES
-    environment variable) before any construction happens.
+    against the cap before any construction happens.  The cap is
+    :data:`DEFAULT_MAX_VERTICES` (10^6), or the positive integer in the
+    ``FRACTREE_MAX_VERTICES`` environment variable if that is set; any
+    other value there raises :class:`BadParameterError`.
     """
-    from .sequences import size_sequences, vertex_count
-
-    cap = _max_vertices(max_vertices)
+    cap = _max_vertices()
     vertices = vertex_count(params, params.i + 1)
     if vertices > cap:
         raise SizeCapError(
@@ -173,8 +171,8 @@ def _build_staged(params: FractalParams) -> Graph:
     n, m = params.n, params.m
     wheel = params.family is Family.WHEEL
     g = base(params.family, n)
-    roles = bytearray(ROLE_CODE[info.role] for info in g.vertices)
-    births = array("i", (info.birth for info in g.vertices))
+    roles = bytearray(g._roles)
+    births = array("i", g._births)
     adj = list(g.adjacency)
     edge_count = g.edge_count
     copy_roles = bytes([_FRESH_RIM]) * (n - 1) + (bytes([_FRESH_HUB]) if wheel else b"")
@@ -234,7 +232,7 @@ class CopyCensus:
 
     ``stage_counts[t]`` is the number of embedded stage-t copies for
     t < i; ``central`` is the block signature of the central graph (the
-    base graph after i edge-path rounds).
+    base graph after i edge-path rounds, :func:`_base_signature`).
     """
 
     params: FractalParams
@@ -263,30 +261,29 @@ def copy_census(params: FractalParams) -> CopyCensus:
         edge_rate = 2 * n
     for t in range(i - 2, -1, -1):
         counts[t] = edge_rate * (m - 1) * m ** (i - t - 2)
+    return CopyCensus(params, counts, _base_signature(params, i))
+
+
+def _base_signature(params: FractalParams, k: int) -> tuple:
+    """The block signature of the base graph after k edge-path rounds: a
+    cycle of length n*m^k, or a wheel on n rim vertices with uniform path
+    length m^k."""
     if params.family is Family.CYCLE:
-        central = ("cycle", n * m**i)
-    else:
-        central = ("wheel", n, m**i)
-    return CopyCensus(params, counts, central)
+        return ("cycle", params.n * params.m**k)
+    return ("wheel", params.n, params.m**k)
 
 
 def predicted_block_multiset(params: FractalParams) -> dict:
     """Expected multiset of block signatures for the built stage-i graph.
 
     The age-k layer contributes u_{i-k} copies of the base graph after k
-    edge-path rounds: a cycle of length n*m^k, or a wheel with uniform
-    path length m^k.
+    edge-path rounds (:func:`_base_signature`).
     """
-    from .sequences import size_sequences
-
-    n, m, i = params.n, params.m, params.i
+    i = params.i
     u = size_sequences(params, i).u
     out = {}
     for k in range(i + 1):
-        if params.family is Family.CYCLE:
-            key = ("cycle", n * m**k)
-        else:
-            key = ("wheel", n, m**k)
+        key = _base_signature(params, k)
         out[key] = out.get(key, 0) + u[i - k]
     return out
 
@@ -299,9 +296,7 @@ def unfold_census_block_multiset(params: FractalParams) -> dict:
     of the built graph.
     """
     if params.i == 0:
-        if params.family is Family.CYCLE:
-            return {("cycle", params.n): 1}
-        return {("wheel", params.n, 1): 1}
+        return {_base_signature(params, 0): 1}
     census = copy_census(params)
     out = {census.central: 1}
     for t, count in census.stage_counts.items():

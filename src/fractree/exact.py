@@ -158,14 +158,19 @@ def _predicted_bits(count: FactoredCount) -> float:
     return bits
 
 
-def factored_expand(count: FactoredCount, bit_cap: int = DEFAULT_EXPAND_BIT_CAP) -> int:
-    """Expand a factored count to an integer; refuse absurdly large results."""
+def factored_expand(count: FactoredCount) -> int:
+    """Expand a factored count to an integer.
+
+    A count whose predicted size passes :data:`DEFAULT_EXPAND_BIT_CAP`
+    (2^24 bits) is refused with :class:`OverflowCapError` before any
+    product is taken.
+    """
     bits = _predicted_bits(count)
-    if bits > bit_cap:
+    if bits > DEFAULT_EXPAND_BIT_CAP:
         # the size, never the count: its exponents can pass the int-to-str limit
         size = "over 10^308" if math.isinf(bits) else f"{bits:.3e}"
         raise OverflowCapError(
-            f"expansion would need {size} bits, past the {bit_cap}-bit cap"
+            f"expansion would need {size} bits, past the {DEFAULT_EXPAND_BIT_CAP}-bit cap"
         )
     value = 1
     for base, exp in count._factors:

@@ -62,10 +62,9 @@ class Graph:
         raise TypeError("make a Graph with Graph.from_edges or Graph.from_layout")
 
     @classmethod
-    def from_edges(
-        cls, roles: bytearray, births: array, edges, params: Optional[FractalParams] = None,
-    ) -> "Graph":
-        """A graph over ``edges``, with the vertex lists of :meth:`from_layout`.
+    def from_edges(cls, roles: bytearray, births: array, edges) -> "Graph":
+        """A graph over ``edges``, with the vertex lists of :meth:`from_layout`
+        and no family parameters.
 
         An endpoint that is not a plain ``int`` (a ``bool`` is refused) in
         ``range(len(roles))`` raises :class:`InvalidVertexError`; a
@@ -85,7 +84,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
             count += 1
-        return cls.from_layout(roles, births, [tuple(sorted(nb)) for nb in adj], count, params)
+        return cls.from_layout(roles, births, [tuple(sorted(nb)) for nb in adj], count)
 
     @classmethod
     def from_layout(
@@ -419,73 +418,55 @@ def _block_edges(adj, head, members) -> list:
 
 
 def _classify_block(edges) -> tuple:
-    """The :class:`Block` signature of a biconnected block's edge list."""
+    """The :class:`Block` signature of one biconnected block that is not a
+    cycle, given as its edge list.
+
+    Both callers send cycles elsewhere: :func:`blocks` names a block a
+    cycle when it has as many edges as vertices, and :func:`block_census`
+    passes only the keys :func:`block_shapes` did not find to be cycles.
+    Such a block is a bridge or has k >= 2 branch vertices (degree >= 3)
+    joined by chains of degree-2 vertices.  Contracting every chain to one
+    edge keeps the block 2-connected (Whitney, 1932), so no chain returns
+    to its own start.  The block is a subdivided wheel exactly when every
+    chain has the same length p, no two chains join the same pair of
+    branch vertices, k >= 4 and the contracted degrees, sorted, are
+    ``[3] * (k - 1) + [k - 1]``; it is then ``("wheel", k - 1, p)``:
+
+    - in a simple graph on k vertices, a vertex of degree k - 1 (the hub)
+      is adjacent to all the others;
+    - so every other vertex has exactly two neighbours besides the hub,
+      and the rim they make is 2-regular;
+    - a rim of two or more cycles would make the hub a cut vertex of the
+      2-connected contraction, so the rim is one cycle;
+    - for k = 4 every degree is 3, which gives K_4 = W_3.
+    """
     adj = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    # a biconnected graph with as many edges as vertices is one cycle
-    if len(edges) == len(adj):
-        return ("cycle", len(adj))
-    degs = {v: len(nb) for v, nb in adj.items()}
-
-    branch = sorted(v for v, d in degs.items() if d >= 3)
-    if not branch or any(d < 2 for d in degs.values()):
-        return ("other",)
-
-    # Contract degree-2 chains between branch vertices; a uniform chain
-    # length plus a wheel-shaped contraction identifies a subdivided wheel.
-    chains = []
-    seen_first = set()
+    branch = [v for v, nb in adj.items() if len(nb) >= 3]
+    if not branch:
+        return ("other",)  # a bridge
+    # walk every chain from each of its ends to the branch vertex it reaches
+    lengths = set()
+    degrees = []
     for b in branch:
+        ends = set()
         for w in adj[b]:
-            if (b, w) in seen_first:
-                continue
-            length = 1
-            prev, cur = b, w
-            while degs[cur] == 2:
-                nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-                prev, cur = cur, nxt
+            length, prev, cur = 1, b, w
+            while len(adj[cur]) == 2:
+                x, y = adj[cur]
+                prev, cur = cur, y if x == prev else x
                 length += 1
-            seen_first.add((cur, prev))
-            chains.append((b, cur, length))
-
-    lengths = {length for _, _, length in chains}
-    if len(lengths) != 1:
-        return ("other",)
-    path_length = lengths.pop()
-
-    contracted = {v: set() for v in branch}
-    for a, b, _ in chains:
-        if a == b or b in contracted[a]:
-            return ("other",)  # loop or parallel chain
-        contracted[a].add(b)
-        contracted[b].add(a)
-
+            ends.add(cur)
+            lengths.add(length)
+        if len(ends) < len(adj[b]):
+            return ("other",)  # parallel chains: the contraction is not simple
+        degrees.append(len(ends))
     k = len(branch)
-    if k >= 4 and len(chains) == 2 * (k - 1):
-        for hub in branch:
-            if len(contracted[hub]) != k - 1:
-                continue
-            rim = [v for v in branch if v != hub]
-            if all(len(contracted[r] - {hub}) == 2 for r in rim) and _is_single_cycle(
-                {r: contracted[r] - {hub} for r in rim}
-            ):
-                return ("wheel", k - 1, path_length)
+    if len(lengths) == 1 and k >= 4 and sorted(degrees) == [3] * (k - 1) + [k - 1]:
+        return ("wheel", k - 1, lengths.pop())
     return ("other",)
-
-
-def _is_single_cycle(adj: dict) -> bool:
-    start = next(iter(adj))
-    prev, cur = None, start
-    visited = set()
-    for _ in range(len(adj)):
-        visited.add(cur)
-        nxt = [w for w in adj[cur] if w != prev]
-        if not nxt:
-            return False
-        prev, cur = cur, nxt[0]
-    return cur == start and len(visited) == len(adj)
 
 
 # An export is made in chunks of at least _CHUNK_CHARS characters (the last
@@ -581,7 +562,7 @@ _DOT_COLORS = {
 }
 
 
-def dot_chunks(g: Graph, name: str = "G") -> Iterator[str]:
+def dot_chunks(g: Graph) -> Iterator[str]:
     """:func:`to_dot` in chunks, for writing as they are made."""
     colors = [_DOT_COLORS[role] for role in ROLES]
     vertices = (
@@ -589,9 +570,10 @@ def dot_chunks(g: Graph, name: str = "G") -> Iterator[str]:
         for v, (code, birth) in enumerate(zip(g._roles, g._births))
     )
     edges = (f"  {u} -- {v};\n" for u, v in g.edges())
-    return _chunked(chain([f"graph {name} {{\n"], vertices, edges, ["}\n"]))
+    return _chunked(chain(["graph G {\n"], vertices, edges, ["}\n"]))
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
-    """The graph in Graphviz DOT, each vertex coloured by its role."""
-    return "".join(dot_chunks(g, name))
+def to_dot(g: Graph) -> str:
+    """The graph in Graphviz DOT as ``graph G { ... }``, each vertex
+    coloured by its role."""
+    return "".join(dot_chunks(g))

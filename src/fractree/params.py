@@ -15,7 +15,11 @@ class Family(str, Enum):
 
 @dataclass(frozen=True)
 class FractalParams:
-    """(family, n, m, i): base graph order, path length, growth stage."""
+    """(family, n, m, i): base graph order, path length, growth stage.
+
+    n, m and i must be plain ``int``s; a ``bool`` is refused, as it is for
+    a vertex id.
+    """
 
     family: Family
     n: int
@@ -24,11 +28,11 @@ class FractalParams:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
-        if not isinstance(self.n, int) or self.n < 3:
+        if type(self.n) is not int or self.n < 3:
             raise BadParameterError(f"n must be an integer >= 3, got {self.n!r}")
-        if not isinstance(self.m, int) or self.m < 2:
+        if type(self.m) is not int or self.m < 2:
             raise BadParameterError(f"m must be an integer >= 2, got {self.m!r}")
-        if not isinstance(self.i, int) or self.i < 0:
+        if type(self.i) is not int or self.i < 0:
             raise BadParameterError(f"stage i must be an integer >= 0, got {self.i!r}")
 
     def with_stage(self, i: int) -> "FractalParams":

@@ -302,11 +302,13 @@ def binet_vertex_fixed_constants(params: FractalParams, j: int) -> QuadraticNumb
 
 
 class EntropyConvention(str, Enum):
-    # ln tau(G^(k)) divided by u_k ("offset", the count one stage back) or
-    # by u_{k+1} (the actual vertex count of the stage-k graph).
+    """Which vertex count divides ln tau(G^(k)) in an entropy estimate: u_k
+    ("offset", the count one stage back) or u_{k+1} (the actual vertex
+    count of the stage-k graph).  The closed form is
+    :func:`entropy_closed`, not a convention."""
+
     OFFSET_STAGE = "offset_stage"
     SAME_STAGE = "same_stage"
-    CLOSED_FORM = "closed_form"
 
 
 @dataclass(frozen=True)
@@ -454,8 +456,6 @@ def entropy_limit(
     overflow.
     """
     convention = EntropyConvention(convention)
-    if convention is EntropyConvention.CLOSED_FORM:
-        raise BadParameterError("use entropy_closed for the closed form")
     offset, same = entropy_estimates(params, iters)
     return same if convention is EntropyConvention.SAME_STAGE else offset
 

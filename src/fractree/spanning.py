@@ -138,21 +138,23 @@ def _reduced_laplacian_determinant(adj) -> int:
     return det
 
 
-def check_oracle_cap(vertex_count: int, max_vertices: int = DEFAULT_ORACLE_MAX_VERTICES) -> None:
-    """Refuse a determinant over more than ``max_vertices`` vertices."""
-    if vertex_count > max_vertices:
+def check_oracle_cap(vertex_count: int) -> None:
+    """Refuse a determinant over more than :data:`DEFAULT_ORACLE_MAX_VERTICES`
+    vertices with :class:`SizeCapError`."""
+    if vertex_count > DEFAULT_ORACLE_MAX_VERTICES:
         raise SizeCapError(
             f"{short_count_str(vertex_count)} vertices exceeds the determinant cap "
-            f"of {max_vertices}"
+            f"of {DEFAULT_ORACLE_MAX_VERTICES}"
         )
 
 
-def tau_oracle(g: Graph, max_vertices: int = DEFAULT_ORACLE_MAX_VERTICES) -> int:
+def tau_oracle(g: Graph) -> int:
     """Exact spanning-tree count via the matrix-tree theorem.
 
-    The vertex cap is checked first, before the connectivity scan.
+    The vertex cap (:func:`check_oracle_cap`) is checked first, before the
+    connectivity scan.
     """
-    check_oracle_cap(g.vertex_count, max_vertices)
+    check_oracle_cap(g.vertex_count)
     if not g.is_connected():
         raise DisconnectedGraphError("spanning trees are only counted for connected graphs")
     return _reduced_laplacian_determinant(dict(enumerate(g.adjacency)))

@@ -1,10 +1,13 @@
 import gc
 import json
+import re
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import pytest
 
+from fractree import construct
 from fractree.construct import (
     base,
     build,
@@ -42,6 +45,13 @@ class TestParams:
             FractalParams(Family.CYCLE, 3, 2, -1)
         with pytest.raises(ValueError):
             FractalParams("hexagon", 3, 2, 0)
+
+    @pytest.mark.parametrize("field", ["n", "m", "i"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_refused(self, field, flag):
+        values = {"n": 3, "m": 2, "i": 1, field: flag}
+        with pytest.raises(BadParameterError):
+            FractalParams(Family.CYCLE, **values)
 
     def test_family_coercion(self):
         assert FractalParams("cycle", 3, 2).family is Family.CYCLE
@@ -232,7 +242,7 @@ class TestBuild:
         with pytest.raises(SizeCapError):
             build(FractalParams(Family.CYCLE, 3, 2, 9))
         with pytest.raises(SizeCapError):
-            build(FractalParams(Family.CYCLE, 3, 2, 2), max_vertices=50)
+            build(FractalParams(Family.WHEEL, 4, 2, 7))
 
     def test_size_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("FRACTREE_MAX_VERTICES", "10")
@@ -247,9 +257,14 @@ class TestBuild:
         with pytest.raises(BadParameterError):
             build(FractalParams(Family.CYCLE, 3, 2, 1))
 
-    def test_non_positive_cap_rejected(self):
-        with pytest.raises(BadParameterError):
-            build(FractalParams(Family.CYCLE, 3, 2, 1), max_vertices=0)
+    def test_build_cap_is_the_only_environment_variable(self):
+        # the package adds no setting outside its parameters but this cap
+        package = Path(construct.__file__).parent
+        reads = [(path.name, line.strip()) for path in sorted(package.glob("*.py"))
+                 for line in path.read_text().splitlines()
+                 if re.search(r"\b(environ|environb|getenv|getenvb)\b", line)]
+        assert reads == [("construct.py", "value = os.environ.get(MAX_VERTICES_ENV)")]
+        assert construct.MAX_VERTICES_ENV == "FRACTREE_MAX_VERTICES"
 
 
 def _composed(p):

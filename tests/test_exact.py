@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fractree import Family, FractalParams, tau_closed
 from fractree.errors import OverflowCapError
 from fractree.exact import (
+    DEFAULT_EXPAND_BIT_CAP,
     FactoredCount,
     bareiss_determinant,
     decimal_int,
@@ -40,17 +41,21 @@ class TestFactoredExpand:
     def test_overflow_cap(self):
         with pytest.raises(OverflowCapError):
             factored_expand(FactoredCount({2: 10**9}))
-        # and a custom cap
+
+    def test_overflow_cap_boundary(self):
+        # 2^cap has cap + 1 bits but a predicted size of exactly cap
+        cap = DEFAULT_EXPAND_BIT_CAP
+        assert factored_expand(FactoredCount({2: cap})) == 1 << cap
         with pytest.raises(OverflowCapError):
-            factored_expand(FactoredCount({2: 100}), bit_cap=64)
+            factored_expand(FactoredCount({2: cap + 1}))
 
     def test_overflow_message_gives_size_not_digits(self):
         with pytest.raises(OverflowCapError) as exc:
             factored_expand(FactoredCount({2: 10**9}))
         assert str(exc.value) == "expansion would need 1.000e+09 bits, past the 16777216-bit cap"
         with pytest.raises(OverflowCapError) as exc:
-            factored_expand(FactoredCount({3: 10**400}), bit_cap=64)
-        assert str(exc.value) == "expansion would need over 10^308 bits, past the 64-bit cap"
+            factored_expand(FactoredCount({3: 10**400}))
+        assert str(exc.value) == "expansion would need over 10^308 bits, past the 16777216-bit cap"
 
     def test_huge_exponent_rejected_without_computing(self):
         with pytest.raises(OverflowCapError):

@@ -206,6 +206,31 @@ class TestBlocks:
         g = plain_graph(6, [(0, 1), (1, 2), (2, 3), (3, 5), (5, 0), (4, 0), (4, 1), (4, 2), (4, 3)])
         assert [b.signature for b in blocks(g)] == [("other",)]
 
+    @pytest.mark.parametrize("p", range(1, 5))
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_subdivided_wheel_table(self, k, p):
+        rim = [(j, (j + 1) % k) for j in range(k)]
+        edges = rim + [(k, j) for j in range(k)]
+        assert _signatures(_subdivided(edges, p, seed=k * p)) == [("wheel", k, p)]
+        # one rim edge, or one spoke, drawn one edge longer than the rest
+        for longer in (0, k):
+            assert _signatures(_subdivided(edges, p, longer, seed=k * p)) == [("other",)]
+
+    @pytest.mark.parametrize("p", range(1, 4))
+    @pytest.mark.parametrize("edges", [
+        [(a, b) for a in range(3) for b in range(3, 6)],
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)],
+    ], ids=["k33", "prism"])
+    def test_cubic_non_wheels_are_other(self, edges, p):
+        # cubic like W_3, but no vertex is joined to all the others
+        assert _signatures(_subdivided(edges, p, seed=p)) == [("other",)]
+
+    def test_parallel_chains_are_other(self):
+        # W_4 with one spoke doubled: the chains' distinct ends are those of
+        # W_4, but two chains join the hub to rim vertex 0
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 0), (4, 1), (4, 2), (4, 3)]
+        assert _signatures(_subdivided(edges, 2)) == [("other",)]
+
     def test_stage_one_composition(self):
         g = build(FractalParams(Family.CYCLE, 3, 2, 1))
         assert sorted(b.signature for b in blocks(g)) == [
@@ -236,6 +261,27 @@ class TestBlocks:
         assert sum(hist.values()) == g.vertex_count == 4053
         assert sum(d * c for d, c in hist.items()) == 2 * g.edge_count
         assert sum(len(b.edges) for b in blocks(g)) == g.edge_count
+
+
+def _subdivided(edges, p, longer=None, seed=0) -> Graph:
+    """``edges`` with each edge drawn out into a path of p edges (edge
+    number ``longer`` into p + 1), its vertex ids shuffled."""
+    n = 1 + max(map(max, edges))
+    paths = []
+    for idx, (u, v) in enumerate(edges):
+        line = [u, *range(n, n + p - 1 + (idx == longer)), v]
+        n += len(line) - 2
+        paths += zip(line, line[1:])
+    ids = list(range(n))
+    random.Random(seed).shuffle(ids)
+    return plain_graph(n, [(ids[u], ids[v]) for u, v in paths])
+
+
+def _signatures(g: Graph) -> list:
+    """Every block's signature, checked to agree with the shape census."""
+    out = [b.signature for b in blocks(g)]
+    assert block_census(g) == Counter(out)
+    return out
 
 
 class TestBlockCensus:

@@ -361,7 +361,7 @@ class TestEntropyBitExact:
         for n, m in [(3, 2), (4, 3), (7, 5), (9, 9)]:
             p = FractalParams(family, n, m)
             pair = entropy_estimates(p, iters)
-            for est, convention in zip(pair, list(EntropyConvention)[:2]):
+            for est, convention in zip(pair, EntropyConvention):
                 value, delta = reference_entropy_limit(p, iters, convention)
                 assert (est.value.hex(), est.delta.hex()) == (value.hex(), delta.hex())
                 assert (est.method, est.iterations) == (convention.value, iters)
@@ -442,10 +442,6 @@ class TestEntropy:
     def test_iters_validation(self):
         with pytest.raises(BadParameterError):
             entropy_limit(FractalParams(Family.CYCLE, 3, 2), 1)
-        with pytest.raises(BadParameterError):
-            entropy_limit(
-                FractalParams(Family.CYCLE, 3, 2), 10, EntropyConvention.CLOSED_FORM
-            )
 
     def test_surface_rows(self):
         rows = entropy_surface_rows(Family.CYCLE, range(3, 7), range(2, 5))

@@ -75,7 +75,7 @@ class TestTauOracle:
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
-            tau_oracle(base(Family.CYCLE, 30), max_vertices=10)
+            tau_oracle(base(Family.CYCLE, DEFAULT_ORACLE_MAX_VERTICES + 1))
 
     def test_default_cap_boundary(self):
         # a path is a tree: one spanning tree at the cap, refused one above it
@@ -85,7 +85,7 @@ class TestTauOracle:
 
     def test_cap_checked_before_connectivity(self):
         with pytest.raises(SizeCapError):
-            tau_oracle(plain_graph(11, []), max_vertices=10)
+            tau_oracle(plain_graph(DEFAULT_ORACLE_MAX_VERTICES + 1, []))
 
     def test_omitted_vertex_independence(self, rng):
         for _ in range(20):
