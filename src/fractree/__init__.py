@@ -59,7 +59,6 @@ from .graph import (
 )
 from .params import Family, FractalParams
 from .sequences import (
-    EntropyConvention,
     EntropyEstimate,
     QuadraticNumber,
     RecurrenceSpec,
@@ -69,16 +68,12 @@ from .sequences import (
     entropy_closed,
     entropy_limit,
     entropy_surface_rows,
-    size_sequences,
-)
-from .spanning import (
     fibonacci_number,
     lucas_number,
-    tau_blocks,
-    tau_closed,
-    tau_oracle,
+    size_sequences,
     tau_wheel_base,
 )
+from .spanning import tau_blocks, tau_closed, tau_oracle
 from .verify import DiscrepancyReport, verify_suite
 
 __all__ = [
@@ -88,7 +83,7 @@ __all__ = [
     "CopyCensus", "degree_census_predicted", "degree_histogram",
     "DisconnectedGraphError", "DiscrepancyReport", "DomainViolationError",
     "entropy_closed", "entropy_limit", "entropy_surface_rows",
-    "EntropyConvention", "EntropyEstimate", "ept", "FactoredCount",
+    "EntropyEstimate", "ept", "FactoredCount",
     "factored_expand", "factored_log", "Family", "fibonacci_number",
     "FractalParams", "FractreeError", "glv", "Graph", "InvalidVertexError",
     "InvalidVertexSetError", "laplacian_minor", "local_clustering",

@@ -123,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "which", choices=["entropy", "clustering", "sizes", "census", "degrees"]
     )
     add_params(inv)
-    inv.add_argument("--iters", type=int, help="entropy: iterations (default 60)")
+    inv.add_argument("--iters", type=int, help="entropy: iterations "
+                     f"(default {sequences.DEFAULT_ENTROPY_ITERS})")
     inv.add_argument("--upto", type=int, help="sizes: highest index (default 10)")
     inv.add_argument("--out", help="output path (default: stdout)")
 
@@ -143,6 +144,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_family(name: str) -> Family:
+    try:
+        return Family(name)
+    except ValueError:
+        raise _UsageError(f"unknown family {name!r}") from None
+
+
 def _resolve_params(args, default_stage=None) -> FractalParams:
     family = args.family or args.family_pos
     n = args.n if args.n is not None else args.n_pos
@@ -154,11 +162,7 @@ def _resolve_params(args, default_stage=None) -> FractalParams:
         if default_stage is None:
             raise _UsageError("stage is required (positional or -i/--stage)")
         i = default_stage
-    try:
-        family = Family(family)
-    except ValueError:
-        raise _UsageError(f"unknown family {family!r}") from None
-    params = FractalParams(family, n, m, i)
+    params = FractalParams(_parse_family(family), n, m, i)
     # the stage-i graph has u_{i+1} vertices
     _check_steps(params, params.i + 1, f"stage {short_count_str(params.i)}")
     return params
@@ -243,7 +247,7 @@ def _cmd_invariants(args) -> int:
     lines = []
     if args.which == "entropy":
         params = _resolve_params(args, default_stage=0)
-        iters = 60 if args.iters is None else args.iters
+        iters = sequences.DEFAULT_ENTROPY_ITERS if args.iters is None else args.iters
         _check_wheel_base(params)
         _check_steps(params, iters + 1, f"--iters {short_count_str(iters)}")
         off, same = sequences.entropy_estimates(params, iters)
@@ -327,10 +331,7 @@ def _cmd_surface(args) -> int:
     m_text = args.m_range or args.m_range_pos
     if family is None or n_text is None or m_text is None:
         raise _UsageError("surface needs FAMILY, NRANGE and MRANGE")
-    try:
-        family = Family(family)
-    except ValueError:
-        raise _UsageError(f"unknown family {family!r}") from None
+    family = _parse_family(family)
     n_range = _parse_range(n_text, 3, 64, "n")
     m_range = _parse_range(m_text, 2, 64, "m")
     rows = sequences.entropy_surface_rows(family, n_range, m_range)

@@ -235,7 +235,6 @@ class CopyCensus:
     base graph after i edge-path rounds, :func:`_base_signature`).
     """
 
-    params: FractalParams
     stage_counts: dict
     central: tuple
 
@@ -261,7 +260,7 @@ def copy_census(params: FractalParams) -> CopyCensus:
         edge_rate = 2 * n
     for t in range(i - 2, -1, -1):
         counts[t] = edge_rate * (m - 1) * m ** (i - t - 2)
-    return CopyCensus(params, counts, _base_signature(params, i))
+    return CopyCensus(counts, _base_signature(params, i))
 
 
 def _base_signature(params: FractalParams, k: int) -> tuple:

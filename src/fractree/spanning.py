@@ -1,6 +1,8 @@
-"""Three independent spanning-tree counters plus Lucas-number wheel counts.
+"""Three independent spanning-tree counters.
 
 * ``tau_closed``   -- explicit factored formula from the size sequences
+                      (the per-copy base count and its Lucas numbers are
+                      in :mod:`~fractree.sequences`)
 * ``tau_oracle``   -- Kirchhoff: exact determinant of a Laplacian minor
 * ``tau_blocks``   -- product over biconnected blocks (tree counts multiply
                       across cut vertices)
@@ -25,54 +27,27 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .errors import BadParameterError, DisconnectedGraphError, SizeCapError
+from .errors import DisconnectedGraphError, SizeCapError
 from .exact import FactoredCount, short_count_str
 from .graph import Graph, block_shapes, shape_edges
-from .params import Family, FractalParams
-from .sequences import _exponent_sums_closed
+from .params import FractalParams
+from .sequences import _exponent_sums_closed, _tau_terms
 
 DEFAULT_ORACLE_MAX_VERTICES = 25_000
-
-
-def lucas_number(k: int) -> int:
-    """L_k with L_1 = 1, L_2 = 3 (L_0 = 2)."""
-    if k < 0:
-        raise BadParameterError("index must be >= 0")
-    a, b = 2, 1
-    for _ in range(k):
-        a, b = b, a + b
-    return a
-
-
-def fibonacci_number(k: int) -> int:
-    """F_k with F_1 = F_2 = 1 (F_0 = 0)."""
-    if k < 0:
-        raise BadParameterError("index must be >= 0")
-    a, b = 0, 1
-    for _ in range(k):
-        a, b = b, a + b
-    return a
-
-
-def tau_wheel_base(n: int) -> int:
-    """Spanning trees of the wheel W_n: L_{2n} - 2."""
-    if n < 3:
-        raise BadParameterError(f"wheel needs n >= 3, got {n}")
-    return lucas_number(2 * n) - 2
 
 
 def tau_closed(params: FractalParams) -> FactoredCount:
     """Factored spanning-tree count for a stage-i family member.
 
-    Cycle: n^S1 * m^S2.  Wheel: (L_{2n}-2)^S1 * m^(n*S2).  The exponent
-    sums S1(i) and S2(i) come exactly, in closed form, from three
-    consecutive vertex counts (:func:`~fractree.sequences._exponent_sums_closed`).
+    base^S1 * m^(mult*S2) with (base, mult) of
+    :func:`~fractree.sequences._tau_terms`: n^S1 * m^S2 for a cycle,
+    (L_{2n}-2)^S1 * m^(n*S2) for a wheel.  The exponent sums S1(i) and
+    S2(i) come exactly, in closed form, from three consecutive vertex
+    counts (:func:`~fractree.sequences._exponent_sums_closed`).
     """
     *_, (s1, s2, _, _) = _exponent_sums_closed(params, params.i)
-    if params.family is Family.CYCLE:
-        return FactoredCount({params.n: s1}) * FactoredCount({params.m: s2})
-    base = tau_wheel_base(params.n)
-    return FactoredCount({base: s1}) * FactoredCount({params.m: params.n * s2})
+    base, mult = _tau_terms(params.family, params.n)
+    return FactoredCount({base: s1}) * FactoredCount({params.m: mult * s2})
 
 
 def _reduced_laplacian_determinant(adj) -> int:

@@ -381,7 +381,7 @@ def _graph() -> list:
               "edge-count", lambda: g().edge_count),
         Check("graph/omitted-vertex-independence", "wheel n=5, all 6 minors",
               "distinct-minor-determinants", minors,
-              "single-value", lambda: str(spanning.tau_wheel_base(5))),
+              "single-value", lambda: str(sequences.tau_wheel_base(5))),
     ]
 
 
@@ -485,19 +485,16 @@ def _spanning() -> list:
             attached.append((g, family, n, hosts))
         return subdivided, attached
 
-    def per_copy(family, n):
-        return n if family is C else spanning.tau_wheel_base(n)
-
     def golden_error():
         golden = (1 + math.sqrt(5)) / 2
         return max(
             abs(golden ** (2 * n) + golden ** (-2 * n) * math.cos(2 * math.pi * n) - 2
-                - spanning.tau_wheel_base(n)) / spanning.tau_wheel_base(n)
+                - sequences.tau_wheel_base(n)) / sequences.tau_wheel_base(n)
             for n in range(3, 31)
         )
 
     def fibonacci_form(n):
-        return spanning.fibonacci_number(2 * n + 2) - spanning.fibonacci_number(2 * n - 2) - 2
+        return sequences.fibonacci_number(2 * n + 2) - sequences.fibonacci_number(2 * n - 2) - 2
 
     quick = [P(C, n, m, i) for n in (3, 4) for m in (2, 3) for i in (1, 2)]
     quick += [P(W, 4, 2, 1), P(W, 3, 2, 1), P(W, 5, 2, 1)]
@@ -515,10 +512,11 @@ def _spanning() -> list:
               lambda: _joined(spanning.tau_oracle(construct.glv(g, family, n, hosts))
                               for g, family, n, hosts in draws()[1]),
               "tau*base^hosts",
-              lambda: _joined(spanning.tau_oracle(g) * per_copy(family, n) ** len(hosts)
+              lambda: _joined(spanning.tau_oracle(g)
+                              * sequences._tau_terms(family, n)[0] ** len(hosts)
                               for g, family, n, hosts in draws()[1])),
         Check("spanning/lucas-fibonacci-identity", "n <= 50",
-              "L_2n-2", lambda: _joined(spanning.lucas_number(2 * n) - 2 for n in range(3, 51)),
+              "L_2n-2", lambda: _joined(sequences.lucas_number(2 * n) - 2 for n in range(3, 51)),
               "F_2n+2-F_2n-2-2",
               lambda: _joined(map(fibonacci_form, range(3, 51)))),
         Check("spanning/golden-ratio-form", "n <= 30", "worst-relative-error", golden_error,
@@ -619,8 +617,8 @@ def _sequences() -> list:
         ]
 
     # both conventions of the cycle limit come from one recurrence pass
-    limits = cache(lambda: sequences.entropy_estimates(p_cyc, 60))
-    wheel_limit = cache(lambda: sequences.entropy_limit(p_whl, 60))
+    limits = cache(lambda: sequences.entropy_estimates(p_cyc))
+    wheel_limit = cache(lambda: sequences.entropy_limit(p_whl))
     return [
         fixture("u", p_cyc, 5, "published-list", (1, 3, 12, 51, 219, 942)),
         fixture("u", p_whl, 4, "published-list", (1, 5, 33, 221, 1481)),

@@ -15,18 +15,14 @@ from fractree.exact import FactoredCount, bareiss_determinant
 from fractree.graph import block_census
 from fractree.params import Family, FractalParams
 from fractree.sequences import (
-    EntropyConvention,
     binet_vertex,
     entropy_closed,
-    entropy_limit,
-    size_sequences,
-)
-from fractree.spanning import (
+    entropy_estimates,
     fibonacci_number,
     lucas_number,
-    tau_closed,
-    tau_oracle,
+    size_sequences,
 )
+from fractree.spanning import tau_closed, tau_oracle
 from fractree.verify import MATCH, naive_determinant, random_connected_graph
 
 
@@ -120,8 +116,7 @@ def test_criterion_4_size_sequences():
 def test_criterion_5_entropy():
     p = FractalParams(Family.CYCLE, 3, 2)
     t0 = time.perf_counter()
-    offset = entropy_limit(p, 60, EntropyConvention.OFFSET_STAGE).value
-    same = entropy_limit(p, 60, EntropyConvention.SAME_STAGE).value
+    offset, same = (est.value for est in entropy_estimates(p, 60))
     closed = entropy_closed(p)
     elapsed = time.perf_counter() - t0
     assert abs(offset - 1.70465) <= 1e-4

@@ -450,9 +450,11 @@ class TestRecurrenceCaps:
         def no_work(*args, **kwargs):
             raise AssertionError("a recurrence was stepped past the cap")
 
-        for name in ("_exponent_sums_closed", "size_sequences", "vertex_count"):
+        for name in ("_exponent_sums_closed", "size_sequences", "vertex_count",
+                     "tau_wheel_base"):
             monkeypatch.setattr(sequences, name, no_work)
-        monkeypatch.setattr(cli.spanning, "tau_wheel_base", no_work)
+        # spanning binds its own name for the closed-form sums
+        monkeypatch.setattr(cli.spanning, "_exponent_sums_closed", no_work)
         r = run_cli(*args.split())
         assert_clean_error(r, 3)
         assert r.stdout == ""

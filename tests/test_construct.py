@@ -1,3 +1,4 @@
+import ast
 import gc
 import json
 import re
@@ -265,6 +266,18 @@ class TestBuild:
                  if re.search(r"\b(environ|environb|getenv|getenvb)\b", line)]
         assert reads == [("construct.py", "value = os.environ.get(MAX_VERTICES_ENV)")]
         assert construct.MAX_VERTICES_ENV == "FRACTREE_MAX_VERTICES"
+
+    def test_every_import_is_at_module_level(self):
+        # an import inside a function hides a cycle between modules
+        package = Path(construct.__file__).parent
+        local = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=path.name)
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    local += [(path.name, node.lineno) for node in ast.walk(fn)
+                              if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert local == []
 
 
 def _composed(p):

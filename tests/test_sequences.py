@@ -9,7 +9,6 @@ from fractree.construct import build
 from fractree.errors import BadParameterError, DomainViolationError
 from fractree.params import Family, FractalParams
 from fractree.sequences import (
-    EntropyConvention,
     entropy_estimates,
     _exponent_sums,
     _exponent_sums_closed,
@@ -21,9 +20,9 @@ from fractree.sequences import (
     entropy_limit,
     entropy_surface_rows,
     size_sequences,
+    tau_wheel_base,
     vertex_count,
 )
-from fractree.spanning import tau_wheel_base
 
 
 class TestSizeSequences:
@@ -317,10 +316,11 @@ class TestBinet:
             binet_vertex(FractalParams(Family.CYCLE, 3, 2), -1)
 
 
-def reference_entropy_limit(params, iters, convention):
+def reference_entropy_limit(params, iters, same: bool):
     """(value, delta) from exact Fractions, re-summing S1 and S2 for every
-    estimate: the formulation the one-pass entropy_limit must reproduce
-    bit for bit."""
+    estimate, over u_k (offset stage) or u_{k+1} (``same`` stage): the
+    formulation the one-pass entropy_estimates must reproduce bit for
+    bit."""
     if params.family is Family.CYCLE:
         base_count, mult = params.n, 1
     else:
@@ -332,7 +332,7 @@ def reference_entropy_limit(params, iters, convention):
     def estimate(k: int) -> float:
         s1 = sum(u[: k + 1])
         s2 = sum((k - j) * u[j] for j in range(k + 1))
-        denom = u[k] if convention is EntropyConvention.OFFSET_STAGE else u[k + 1]
+        denom = u[k + 1] if same else u[k]
         return float(Fraction(s1, denom)) * log_base + mult * float(
             Fraction(s2, denom)
         ) * log_m
@@ -343,16 +343,16 @@ def reference_entropy_limit(params, iters, convention):
 
 class TestEntropyBitExact:
     @pytest.mark.parametrize(
-        "convention", [EntropyConvention.OFFSET_STAGE, EntropyConvention.SAME_STAGE]
+        "same", [pytest.param(False, id="offset_stage"), pytest.param(True, id="same_stage")]
     )
     @pytest.mark.parametrize("iters", [2, 3, 60, 400])
     @pytest.mark.parametrize("family", list(Family))
-    def test_limit_matches_fraction_reference(self, family, iters, convention):
+    def test_limit_matches_fraction_reference(self, family, iters, same):
         for n in range(3, 10):
             for m in range(2, 10):
                 p = FractalParams(family, n, m)
-                est = entropy_limit(p, iters, convention)
-                value, delta = reference_entropy_limit(p, iters, convention)
+                est = entropy_estimates(p, iters)[same]
+                value, delta = reference_entropy_limit(p, iters, same)
                 assert (est.value.hex(), est.delta.hex()) == (value.hex(), delta.hex())
 
     @pytest.mark.parametrize("iters", [2, 60, 400])
@@ -361,10 +361,9 @@ class TestEntropyBitExact:
         for n, m in [(3, 2), (4, 3), (7, 5), (9, 9)]:
             p = FractalParams(family, n, m)
             pair = entropy_estimates(p, iters)
-            for est, convention in zip(pair, EntropyConvention):
-                value, delta = reference_entropy_limit(p, iters, convention)
+            for est, same in zip(pair, (False, True)):
+                value, delta = reference_entropy_limit(p, iters, same)
                 assert (est.value.hex(), est.delta.hex()) == (value.hex(), delta.hex())
-                assert (est.method, est.iterations) == (convention.value, iters)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_surface_matches_fraction_reference(self, family):
@@ -372,8 +371,8 @@ class TestEntropyBitExact:
         assert [r[:2] for r in rows] == [(n, m) for n in range(3, 10) for m in range(2, 10)]
         for n, m, offset, same, closed in rows:
             p = FractalParams(family, n, m)
-            want_offset, _ = reference_entropy_limit(p, 60, EntropyConvention.OFFSET_STAGE)
-            want_same, _ = reference_entropy_limit(p, 60, EntropyConvention.SAME_STAGE)
+            want_offset, _ = reference_entropy_limit(p, 60, False)
+            want_same, _ = reference_entropy_limit(p, 60, True)
             assert (offset.hex(), same.hex()) == (want_offset.hex(), want_same.hex())
             if family is Family.CYCLE and n <= m:
                 assert closed is None
@@ -384,37 +383,34 @@ class TestEntropyBitExact:
 class TestEntropy:
     def test_published_cycle_values(self):
         p = FractalParams(Family.CYCLE, 3, 2)
-        offset = entropy_limit(p, 60, EntropyConvention.OFFSET_STAGE)
-        same = entropy_limit(p, 60, EntropyConvention.SAME_STAGE)
+        offset, same = entropy_estimates(p, 60)
         assert offset.value == pytest.approx(1.70465, abs=1e-4)
         assert same.value == pytest.approx(0.396176, abs=1e-4)
         assert abs(offset.delta) < 1e-12
-        assert offset.iterations == 60
-        assert offset.method == "offset_stage"
+        assert entropy_limit(p) == offset
 
     def test_wheel_limit(self):
-        est = entropy_limit(FractalParams(Family.WHEEL, 4, 2), 60)
+        est = entropy_limit(FractalParams(Family.WHEEL, 4, 2))
         assert est.value == pytest.approx(5.045890769576678, abs=1e-9)
         assert abs(est.delta) < 1e-9
 
     def test_convention_ratio_tends_to_dominant_root(self):
         for p in (FractalParams(Family.CYCLE, 3, 2), FractalParams(Family.WHEEL, 4, 2)):
-            offset = entropy_limit(p, 60, EntropyConvention.OFFSET_STAGE).value
-            same = entropy_limit(p, 60, EntropyConvention.SAME_STAGE).value
+            offset, same = (est.value for est in entropy_estimates(p, 60))
             root = RecurrenceSpec.for_params(p).roots()[0].to_float()
             assert offset / same == pytest.approx(root, abs=1e-6)
 
     def test_deltas_shrink_geometrically(self):
         p = FractalParams(Family.CYCLE, 3, 2)
-        deltas = [abs(entropy_limit(p, k).delta) for k in range(4, 13)]
+        deltas = [abs(entropy_estimates(p, k)[0].delta) for k in range(4, 13)]
         for k in range(len(deltas) - 1):
             # each iteration at least halves the delta (the asymptotic
             # factor is the dominant root, approached from below)
             assert deltas[k + 1] <= deltas[k] / 2
         assert deltas[-1] < 1e-6
         # stable to 10+ significant digits by 60 iterations
-        assert entropy_limit(p, 60).value == pytest.approx(
-            entropy_limit(p, 50).value, abs=1e-10
+        assert entropy_estimates(p, 60)[0].value == pytest.approx(
+            entropy_estimates(p, 50)[0].value, abs=1e-10
         )
 
     def test_closed_matches_limit_for_cycles(self):
@@ -441,7 +437,7 @@ class TestEntropy:
 
     def test_iters_validation(self):
         with pytest.raises(BadParameterError):
-            entropy_limit(FractalParams(Family.CYCLE, 3, 2), 1)
+            entropy_estimates(FractalParams(Family.CYCLE, 3, 2), 1)
 
     def test_surface_rows(self):
         rows = entropy_surface_rows(Family.CYCLE, range(3, 7), range(2, 5))
@@ -456,6 +452,6 @@ class TestEntropy:
 
     def test_deep_iteration_no_overflow(self):
         # exact-ratio evaluation keeps working far beyond float range
-        est = entropy_limit(FractalParams(Family.WHEEL, 4, 2), 500)
+        est = entropy_estimates(FractalParams(Family.WHEEL, 4, 2), 500)[0]
         assert math.isfinite(est.value)
         assert est.value == pytest.approx(5.045890769576678, abs=1e-9)

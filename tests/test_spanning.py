@@ -12,15 +12,13 @@ from fractree.errors import BadParameterError, DisconnectedGraphError, SizeCapEr
 from fractree.exact import FactoredCount, bareiss_determinant
 from fractree.graph import Graph, blocks, laplacian_minor, plain_graph
 from fractree.params import Family, FractalParams
+from fractree.sequences import fibonacci_number, lucas_number, tau_wheel_base
 from fractree.spanning import (
     DEFAULT_ORACLE_MAX_VERTICES,
     _reduced_laplacian_determinant,
-    fibonacci_number,
-    lucas_number,
     tau_blocks,
     tau_closed,
     tau_oracle,
-    tau_wheel_base,
 )
 from fractree.verify import random_connected_graph
 
