@@ -11,12 +11,15 @@ A disagreement between any two isolates a bug: blocks wrong means the
 construction is off, determinant wrong means the arithmetic is off.
 
 Both graph routes take the determinant by sparse exact elimination of the
-reduced Laplacian straight from adjacency lists, in greedy minimum-degree
-order, which keeps fill near zero on these planar, mostly degree-2 and
-degree-3 graphs.  Entries are reduced integer (numerator, denominator)
-pairs, not ``Fraction`` objects.  The block product eliminates each
-distinct shape of :func:`~fractree.graph.block_shapes` once, where the
-shape keys are documented.  The dense fraction-free route
+reduced Laplacian straight from adjacency lists.  Most vertices of these
+graphs are path interiors of degree 2: each maximal chain of them is
+eliminated in closed form, as one edge of conductance 1/(k+1) and a factor
+k+1, and the vertices of other degrees that remain are eliminated in greedy
+minimum-degree order, which keeps fill near zero on these planar graphs.
+Entries are reduced integer (numerator, denominator) pairs, not
+``Fraction`` objects.  The block product eliminates each distinct shape of
+:func:`~fractree.graph.block_shapes` once, where the shape keys are
+documented.  The dense fraction-free route
 (:func:`~fractree.exact.bareiss_determinant` of
 :func:`~fractree.graph.laplacian_minor`) stays as the reference it is
 checked against.
@@ -50,27 +53,81 @@ def tau_closed(params: FractalParams) -> FactoredCount:
     return FactoredCount({base: s1}) * FactoredCount({params.m: mult * s2})
 
 
+def _add_pair(row: dict, key, n: int, d: int) -> None:
+    """``row[key] += n/d``, kept a reduced pair with a positive denominator."""
+    t = row.get(key)
+    if t is not None:
+        tn, td = t
+        n, d = tn * d + n * td, td * d
+        c = gcd(n, d)
+        if c != 1:
+            n //= c
+            d //= c
+    row[key] = (n, d)
+
+
 def _reduced_laplacian_determinant(adj) -> int:
     """Determinant of the Laplacian of a connected simple graph with the
     row and column of its first vertex removed.
 
-    ``adj`` maps each vertex to its neighbours.  The reduced Laplacian is
-    kept as dict rows and eliminated one vertex at a time, always the one
-    with the fewest nonzeros left (ties by vertex), taken from a heap whose
-    stale entries are skipped.  Elimination keeps the rows symmetric, so a
-    pivot row doubles as its column.  Arithmetic is exact: every entry is
-    a reduced ``(numerator, denominator)`` pair of ints with a positive
-    denominator, updated inline with ``math.gcd``.  The determinant is the
-    product of the pivot numerators over the product of the pivot
+    ``adj`` maps each vertex to its neighbours.  Every maximal chain
+    x - c1 - ... - ck - y of degree-2 vertices, with x and y of another
+    degree or the dropped vertex, is eliminated first, in closed form.  The
+    pivots of c1..ck are 2, 3/2, ..., (k+1)/k, so the chain contributes the
+    factor k+1, and eliminating it leaves one edge x - y of conductance
+    1/(k+1): resistances in series add.  Parallel chains and edges between
+    the same two vertices add their conductances.  A chain from x back to x
+    leaves a loop, and a loop adds nothing to a Laplacian (its +c on the
+    diagonal and -c off it fall on the same entry), so such a chain
+    contributes its factor alone.  A degree-2 vertex that no chain reaches
+    lies on a cycle that is a whole component away from the dropped vertex:
+    the minor is singular, and :class:`ArithmeticError` is raised, as for a
+    zero pivot.
+
+    The reduced Laplacian on the remaining vertices is kept as dict rows
+    and eliminated one vertex at a time, always the one with the fewest
+    nonzeros left (ties by vertex), taken from a heap whose stale entries
+    are skipped.  Elimination keeps the rows symmetric, so a pivot row
+    doubles as its column.  Arithmetic is exact: every entry is a reduced
+    ``(numerator, denominator)`` pair of ints with a positive denominator,
+    updated with ``math.gcd``.  The determinant is the chain factors times
+    the product of the pivot numerators over the product of the pivot
     denominators, which must divide exactly.
     """
-    dropped = next(iter(adj), None)
+    if not adj:
+        return 1
+    dropped = next(iter(adj))
     rows = {}
     for v, nbrs in adj.items():
-        if v != dropped:
-            row = dict.fromkeys((w for w in nbrs if w != dropped), (-1, 1))
-            row[v] = (len(nbrs), 1)
+        if v != dropped and len(nbrs) != 2:
+            ends = [w for w in nbrs if w == dropped or len(adj[w]) != 2]
+            row = dict.fromkeys((w for w in ends if w != dropped), (-1, 1))
+            row[v] = (len(ends), 1)
             rows[v] = row
+    # walk each chain from the first of its ends reached; a chain from x
+    # back to x is found from x's first edge into it
+    factor = 1
+    inner = set()
+    for x in (dropped, *rows):
+        for w in adj[x]:
+            if w == dropped or len(adj[w]) != 2 or w in inner:
+                continue
+            k, prev = 0, x
+            while w != dropped and len(adj[w]) == 2:
+                inner.add(w)
+                k += 1
+                a, b = adj[w]
+                prev, w = w, (b if a == prev else a)
+            factor *= k + 1
+            if w != x:
+                for u, z in ((x, w), (w, x)):
+                    row = rows.get(u)
+                    if row is not None:
+                        _add_pair(row, u, 1, k + 1)
+                        if z != dropped:
+                            _add_pair(row, z, -1, k + 1)
+    if 1 + len(inner) + len(rows) != len(adj):
+        raise ArithmeticError("a cycle component misses the dropped vertex: the minor is singular")
     heap = [(len(row), v) for v, row in rows.items()]
     heapify(heap)
     num = den = 1
@@ -107,7 +164,7 @@ def _reduced_laplacian_determinant(adj) -> int:
                 c = gcd(un, ud)
                 target[x] = (un // c, ud // c) if c != 1 else (un, ud)
             heappush(heap, (len(target), w))
-    det, rest = divmod(num, den)
+    det, rest = divmod(factor * num, den)
     if rest:
         raise ArithmeticError("the pivot product is not an integer")
     return det
