@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import BadParameterError, InvalidVertexSetError, SizeCapError
 from .exact import short_count_str
-from .graph import ROLE_CODE, Graph, VertexRole, gc_paused
+from .graph import ROLE_CODE, Graph, VertexRole
 from .params import Family, FractalParams
 from .sequences import size_sequences, vertex_count
 
@@ -166,7 +166,6 @@ def _build_staged(params: FractalParams) -> Graph:
     A round holds little besides the graph it makes: each old vertex's
     tuple is dropped as soon as it has been read, and its list of new
     neighbours becomes its final tuple, in place, as its copy is attached.
-    Cyclic garbage collection is paused for the build (:func:`gc_paused`).
     """
     n, m = params.n, params.m
     wheel = params.family is Family.WHEEL
@@ -176,53 +175,52 @@ def _build_staged(params: FractalParams) -> Graph:
     adj = list(g.adjacency)
     edge_count = g.edge_count
     copy_roles = bytes([_FRESH_RIM]) * (n - 1) + (bytes([_FRESH_HUB]) if wheel else b"")
-    with gc_paused():
-        for stage in range(1, params.i + 1):
-            old = len(adj)
-            grown = [[] for _ in range(old)]
-            nxt = old  # the next id, and the length of adj
-            for u in range(old):
-                nb = adj[u]
-                adj[u] = None
-                ends = grown[u]
-                for v in nb:
-                    if v > u:
-                        # path u - nxt - ... - last - v
-                        last = nxt + m - 2
-                        ends.append(nxt)
-                        grown[v].append(last)
-                        if nxt == last:
-                            adj.append((u, v))
-                        else:
-                            adj.append((u, nxt + 1))
-                            adj.extend([(w - 1, w + 1) for w in range(nxt + 1, last)])
-                            adj.append((v, last - 1))
-                        nxt = last + 1
-            roles += bytes([_PATH_INTERIOR]) * (nxt - old)
-            for host in range(old):
-                ends = grown[host]
-                grown[host] = None
-                # rim nxt..last in cycle order from the host, then the hub
-                last = nxt + n - 2
-                if wheel:
-                    hub = last + 1
-                    ends += (nxt, last, hub)
-                    adj[host] = tuple(ends)
-                    adj.append((host, nxt + 1, hub))
-                    adj.extend([(r - 1, r + 1, hub) for r in range(nxt + 1, last)])
-                    adj.append((host, last - 1, hub))
-                    adj.append((host, *range(nxt, hub)))
-                    nxt = hub + 1
-                else:
-                    ends += (nxt, last)
-                    adj[host] = tuple(ends)
-                    adj.append((host, nxt + 1))
-                    adj.extend([(r - 1, r + 1) for r in range(nxt + 1, last)])
-                    adj.append((host, last - 1))
+    for stage in range(1, params.i + 1):
+        old = len(adj)
+        grown = [[] for _ in range(old)]
+        nxt = old  # the next id, and the length of adj
+        for u in range(old):
+            nb = adj[u]
+            adj[u] = None
+            ends = grown[u]
+            for v in nb:
+                if v > u:
+                    # path u - nxt - ... - last - v
+                    last = nxt + m - 2
+                    ends.append(nxt)
+                    grown[v].append(last)
+                    if nxt == last:
+                        adj.append((u, v))
+                    else:
+                        adj.append((u, nxt + 1))
+                        adj.extend([(w - 1, w + 1) for w in range(nxt + 1, last)])
+                        adj.append((v, last - 1))
                     nxt = last + 1
-            roles += copy_roles * old
-            births += array("i", [stage]) * (nxt - old)
-            edge_count = m * edge_count + old * (2 * n if wheel else n)
+        roles += bytes([_PATH_INTERIOR]) * (nxt - old)
+        for host in range(old):
+            ends = grown[host]
+            grown[host] = None
+            # rim nxt..last in cycle order from the host, then the hub
+            last = nxt + n - 2
+            if wheel:
+                hub = last + 1
+                ends += (nxt, last, hub)
+                adj[host] = tuple(ends)
+                adj.append((host, nxt + 1, hub))
+                adj.extend([(r - 1, r + 1, hub) for r in range(nxt + 1, last)])
+                adj.append((host, last - 1, hub))
+                adj.append((host, *range(nxt, hub)))
+                nxt = hub + 1
+            else:
+                ends += (nxt, last)
+                adj[host] = tuple(ends)
+                adj.append((host, nxt + 1))
+                adj.extend([(r - 1, r + 1) for r in range(nxt + 1, last)])
+                adj.append((host, last - 1))
+                nxt = last + 1
+        roles += copy_roles * old
+        births += array("i", [stage]) * (nxt - old)
+        edge_count = m * edge_count + old * (2 * n if wheel else n)
     return Graph.from_layout(roles, births, adj, edge_count, params)
 
 

@@ -7,12 +7,10 @@ order, and hence every export, is deterministic.
 
 from __future__ import annotations
 
-import gc
 import json
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
@@ -291,25 +289,12 @@ def format_block_census(census: dict) -> str:
     return "; ".join(f"{k}x{v}" for k, v in sorted(census.items()))
 
 
-@contextmanager
-def gc_paused():
-    """Pause cyclic garbage collection inside a with-block, then restore it.
-
-    Passes that allocate millions of small acyclic objects (tuples, lists,
-    ints) would otherwise set off collections that free nothing.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _block_walk(g: Graph) -> list:
-    """``(head, members)`` of every biconnected component, in post-order:
-    blocks headed at a member close before the member's own block.
+def _block_walk(g: Graph) -> Iterator[tuple]:
+    """Yield ``(head, members)`` of every biconnected component as it
+    closes, in post-order: blocks headed at a member close before the
+    member's own block.  A disconnected graph raises
+    :class:`DisconnectedGraphError` once every block of the part reached
+    from vertex 0 has been yielded.
 
     Iterative Hopcroft-Tarjan, so large graphs cannot exhaust the
     recursion limit.  It keeps a stack of vertices rather than edges: when a child
@@ -317,7 +302,8 @@ def _block_walk(g: Graph) -> list:
     found since v, in discovery order, are its members.  The edge back to a
     vertex's parent may lower its ``low`` to the parent's discovery time,
     which changes no ``low[v] >= disc[u]`` test, so it is not skipped.
-    Cyclic garbage collection is paused for the walk (:func:`gc_paused`).
+    Streaming keeps no list of all blocks: a consumer that drops each
+    block before the next holds only the walk's own lists of n.
 
     Degree-2 vertices get no frame of their own.  From v, the walk follows
     a chain v - c1 - ... - ck - x of unvisited degree-2 vertices in one
@@ -334,77 +320,75 @@ def _block_walk(g: Graph) -> list:
     adj = g._adj
     n = len(adj)
     if n <= 1:
-        return []
+        return
 
-    with gc_paused():
-        disc = [0] * n  # discovery time from 1; 0 while unvisited
-        low = [0] * n
-        depth = [0] * n  # where a vertex sits in `pending`
-        # chain vertices between a vertex on the path and its parent; a
-        # dict, not a fourth list of n, as it holds only the open vertices
-        chained = {}
-        pending = []
-        out = []
+    disc = [0] * n  # discovery time from 1; 0 while unvisited
+    low = [0] * n
+    depth = [0] * n  # where a vertex sits in `pending`
+    # chain vertices between a vertex on the path and its parent; a
+    # dict, not a fourth list of n, as it holds only the open vertices
+    chained = {}
+    pending = []
 
-        disc[0] = low[0] = 1
-        timer = 2
-        path = [0]
-        iters = [iter(adj[0])]
-        while path:
-            v = path[-1]
-            for w in iters[-1]:
-                if not disc[w]:
-                    if len(adj[w]) == 2:
-                        start = len(pending)
-                        prev = v
-                        while True:
-                            disc[w] = timer
-                            timer += 1
-                            pending.append(w)
-                            a, b = adj[w]
-                            x = b if a == prev else a
-                            if disc[x] or len(adj[x]) != 2:
-                                break
-                            prev, w = w, x
-                        if disc[x]:
-                            if x == v:
-                                out.append((v, pending[start:]))
-                                del pending[start:]
-                            elif disc[x] < low[v]:
-                                low[v] = disc[x]
-                            continue
-                        w = x
-                        chained[w] = len(pending) - start
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    depth[w] = len(pending)
-                    pending.append(w)
-                    path.append(w)
-                    iters.append(iter(adj[w]))
-                    break
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-            else:
-                path.pop()
-                iters.pop()
-                if path:
-                    u = path[-1]
-                    k = depth[v]
-                    c = chained.pop(v, 0)
-                    if c and low[v] >= disc[v] - 1:
-                        # a block headed at ck, then the bridges of u - c1 - ... - ck
-                        line = [u, *pending[k - c:k]]
-                        out.append((line[-1], pending[k:]))
-                        out += [(line[j - 1], [line[j]]) for j in range(c, 0, -1)]
-                        del pending[k - c:]
-                    elif low[v] >= disc[u]:
-                        out.append((u, pending[k - c:]))
-                        del pending[k - c:]
-                    elif low[v] < low[u]:
-                        low[u] = low[v]
-        if timer <= n:
-            raise DisconnectedGraphError("block decomposition requires a connected graph")
-        return out
+    disc[0] = low[0] = 1
+    timer = 2
+    path = [0]
+    iters = [iter(adj[0])]
+    while path:
+        v = path[-1]
+        for w in iters[-1]:
+            if not disc[w]:
+                if len(adj[w]) == 2:
+                    start = len(pending)
+                    prev = v
+                    while True:
+                        disc[w] = timer
+                        timer += 1
+                        pending.append(w)
+                        a, b = adj[w]
+                        x = b if a == prev else a
+                        if disc[x] or len(adj[x]) != 2:
+                            break
+                        prev, w = w, x
+                    if disc[x]:
+                        if x == v:
+                            yield v, pending[start:]
+                            del pending[start:]
+                        elif disc[x] < low[v]:
+                            low[v] = disc[x]
+                        continue
+                    w = x
+                    chained[w] = len(pending) - start
+                disc[w] = low[w] = timer
+                timer += 1
+                depth[w] = len(pending)
+                pending.append(w)
+                path.append(w)
+                iters.append(iter(adj[w]))
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            path.pop()
+            iters.pop()
+            if path:
+                u = path[-1]
+                k = depth[v]
+                c = chained.pop(v, 0)
+                if c and low[v] >= disc[v] - 1:
+                    # a block headed at ck, then the bridges of u - c1 - ... - ck
+                    line = [u, *pending[k - c:k]]
+                    yield line[-1], pending[k:]
+                    for j in range(c, 0, -1):
+                        yield line[j - 1], [line[j]]
+                    del pending[k - c:]
+                elif low[v] >= disc[u]:
+                    yield u, pending[k - c:]
+                    del pending[k - c:]
+                elif low[v] < low[u]:
+                    low[u] = low[v]
+    if timer <= n:
+        raise DisconnectedGraphError("block decomposition requires a connected graph")
 
 
 def _block_edges(adj, head, members) -> list:

@@ -18,12 +18,21 @@ ln tau(G^(k)) = S1(k)*ln(base) + mult*S2(k)*ln(m), where
 estimate, gives one base copy's tree count (n, or L_2n - 2 for a wheel,
 from the Lucas numbers kept here) and its cycle rank (1 or n).  The
 exponents S1(k) = sum of u_j and S2(k) = sum of (k-j)*u_j over j <= k
-have two exact routes.  :func:`_exponent_sums_closed` reaches u_k by
-index doubling (O(log k) integer products) and sums the recurrence in
-closed form; it serves every hot path (``tau_closed``, the entropy
-estimates and the entropy surface).  :func:`_exponent_sums` keeps running
-sums over :func:`size_sequences`, and stays as the reference that
-``verify`` and the tests compare against.
+have two exact routes.  :func:`_exponent_sums_of` reaches u_k by index
+doubling (O(log k) integer products) and sums the recurrence in closed
+form, on plain ints; it serves every hot path.  ``tau_closed`` and the
+entropy estimates call it through :func:`_exponent_sums_closed`, which
+takes a :class:`FractalParams`, and the entropy surface calls it once per
+(n, m) cell.  :func:`_exponent_sums` keeps running sums over
+:func:`size_sequences`, and stays as the reference that ``verify`` and
+the tests compare against.
+
+The recurrence's coefficients (a, b, u_1) are stated once, in
+:func:`_recurrence_coefficients`, for :class:`RecurrenceSpec` and the
+surface alike.  The explicit entropy formulas are stated once too, as
+their terms in n alone (:func:`_entropy_closed_n_terms`) and the rest
+(:func:`_entropy_closed_floats`); :func:`entropy_closed` composes the
+two, and the surface takes the n-terms once per row.
 """
 
 from __future__ import annotations
@@ -271,6 +280,14 @@ def size_sequences(params: FractalParams, upto: int) -> SizeSequences:
     return SizeSequences(tuple(u), tuple(e))
 
 
+def _recurrence_coefficients(family: Family, n: int, m: int) -> tuple:
+    """(a, b, u_1) of the decoupled vertex recurrence
+    u_j = a*u_{j-1} + b*u_{j-2}, with u_0 = 1."""
+    if family is Family.CYCLE:
+        return n + m, -n, n
+    return n + m + 1, m * n - m - 2 * n, n + 1
+
+
 @dataclass(frozen=True)
 class RecurrenceSpec:
     """Decoupled second-order recurrence x_j = a*x_{j-1} + b*x_{j-2}."""
@@ -283,11 +300,7 @@ class RecurrenceSpec:
 
     @classmethod
     def for_params(cls, params: FractalParams) -> "RecurrenceSpec":
-        n, m = params.n, params.m
-        if params.family is Family.CYCLE:
-            a, b, u1 = n + m, -n, n
-        else:
-            a, b, u1 = n + m + 1, m * n - m - 2 * n, n + 1
+        a, b, u1 = _recurrence_coefficients(params.family, params.n, params.m)
         return cls(a, b, a * a + 4 * b, 1, u1)
 
     def roots(self) -> tuple:
@@ -379,26 +392,37 @@ def vertex_count(params: FractalParams, j: int) -> int:
 
 def _exponent_sums_closed(params: FractalParams, upto: int) -> tuple:
     """The last two steps of :func:`_exponent_sums` (one if ``upto`` is 0),
-    in closed form from three consecutive vertex counts.
+    in closed form: :func:`_exponent_sums_of` on the coefficients of
+    ``params``, with ``params`` named if a sum comes out non-integral."""
+    if upto < 0:
+        raise BadParameterError("upto must be >= 0")
+    try:
+        return _exponent_sums_of(*_recurrence_coefficients(params.family, params.n, params.m),
+                                 upto)
+    except ArithmeticError:
+        raise ArithmeticError(
+            f"exponent sums of {params} at k={upto} are not integers") from None
 
-    For k = ``upto``, u_{k-1} = (u_1 - a)*U_{k-1} + U_k and
-    u_k = u_1*U_k + b*U_{k-1} come from one index-doubling walk
-    (:func:`_fundamental_pair`), and u_{k+1} = a*u_k + b*u_{k-1}, with a, b
-    and u_1 of :class:`RecurrenceSpec`.  Summing that recurrence over
-    j = 2..k gives, with D = 1 - a - b (1 - m or n*(1 - m), never 0) and
-    C = 1 + u_1 - a:
+
+def _exponent_sums_of(a: int, b: int, u1: int, upto: int) -> tuple:
+    """The last two (S1(k), S2(k), u_k, u_{k+1}) steps for k = ``upto`` >= 0
+    (one if it is 0) of u_j = a*u_{j-1} + b*u_{j-2} with u_0 = 1, in
+    closed form from three consecutive vertex counts.
+
+    u_{k-1} = (u_1 - a)*U_{k-1} + U_k and u_k = u_1*U_k + b*U_{k-1} come
+    from one index-doubling walk (:func:`_fundamental_pair`), and
+    u_{k+1} = a*u_k + b*u_{k-1}.  Summing the recurrence over j = 2..k
+    gives, with D = 1 - a - b (1 - m or n*(1 - m) for the two families,
+    never 0) and C = 1 + u_1 - a:
 
         D*S1(k) = C - (a+b)*u_k - b*u_{k-1}
         D*S2(k) = k*C - (a+b)*S1(k-1) - b*S1(k-2) - (u_1 - a)
 
     where S1(k-1) = S1(k) - u_k and S1(k-2) = S1(k-1) - u_{k-1}.  Both
-    divisions must be exact.  No step divides by b or reads u_{-1}, since
-    b = 0 for the wheel with n = m = 3.
+    divisions must be exact, and ``ArithmeticError`` is raised if one is
+    not.  No step divides by b or reads u_{-1}, since b = 0 for the wheel
+    with n = m = 3.
     """
-    if upto < 0:
-        raise BadParameterError("upto must be >= 0")
-    spec = RecurrenceSpec.for_params(params)
-    a, b, u1 = spec.a, spec.b, spec.u1
     if upto == 0:
         return ((1, 0, 1, u1),)
     fundamental_before, fundamental = _fundamental_pair(a, b, upto)
@@ -409,7 +433,8 @@ def _exponent_sums_closed(params: FractalParams, upto: int) -> tuple:
     s1_prev = s1 - u
     s2, r2 = divmod(upto * c - (a + b) * s1_prev - b * (s1_prev - before) - (u1 - a), d)
     if r1 or r2:
-        raise ArithmeticError(f"exponent sums of {params} at k={upto} are not integers")
+        raise ArithmeticError(f"exponent sums of a={a}, b={b}, u1={u1} at k={upto} "
+                              "are not integers")
     return (s1_prev, s2 - s1_prev, before, u), (s1, s2, u, a * u + b * before)
 
 
@@ -458,31 +483,45 @@ def entropy_closed(params: FractalParams) -> float:
     """The explicit entropy formulas, evaluated verbatim.
 
     The cycle formula is only stated for n > m and matches the limit.  The
-    wheel formula (constants A, B, C, D in :func:`_entropy_closed_floats`)
-    does not reproduce the numerical limit; callers compare, never assume.
-    An (n, m) whose evaluation passes float range is outside the domain.
+    wheel formula (constants A, B, C in :func:`_entropy_closed_floats`, D
+    in :func:`_entropy_closed_n_terms`) does not reproduce the numerical
+    limit; callers compare, never assume.  An (n, m) whose evaluation
+    passes float range is outside the domain.  The value is the terms in n
+    alone (:func:`_entropy_closed_n_terms`) composed with the rest
+    (:func:`_entropy_closed_floats`).
     """
+    family, n, m = params.family, params.n, params.m
     try:
-        return _entropy_closed_floats(params)
+        return _entropy_closed_floats(family, n, m, _entropy_closed_n_terms(family, n))
     except ArithmeticError:
         raise DomainViolationError(
-            f"entropy formula at n={params.n}, m={params.m} passes float range"
+            f"entropy formula at n={n}, m={m} passes float range"
         ) from None
 
 
-def _entropy_closed_floats(params: FractalParams) -> float:
-    n, m = params.n, params.m
-    if params.family is Family.CYCLE:
+def _entropy_closed_n_terms(family: Family, n: int) -> tuple:
+    """The closed form's terms that depend on n alone: ln n for the cycle;
+    ln(golden^(2n) - 2) and the constant D for the wheel."""
+    if family is Family.CYCLE:
+        return (math.log(n),)
+    golden = (1 + math.sqrt(5)) / 2
+    return (math.log(golden ** (2 * n) - 2),
+            4**n * (math.sqrt(5) + 1) ** (-2 * n) * math.cos(2 * math.pi * n))
+
+
+def _entropy_closed_floats(family: Family, n: int, m: int, n_terms: tuple) -> float:
+    if family is Family.CYCLE:
         if not n > m:
             raise DomainViolationError(f"cycle entropy formula needs n > m, got n={n}, m={m}")
+        (log_n,) = n_terms
         phi = math.sqrt(-4 * n + (m + n) ** 2)
         a1, a2 = m - n, m + n
-        return (2 * (m - 1) * n * math.log(n) - n * math.log(m) * (-phi + a2 - 2)) / (
+        return (2 * (m - 1) * n * log_n - n * math.log(m) * (-phi + a2 - 2)) / (
             (m - 1) * (phi - a1)
         )
+    log_golden_base, big_d = n_terms
     z = math.sqrt(6 * (m - 1) * n + (m - 1) ** 2 + n ** 2)
     a2 = m + n
-    golden = (1 + math.sqrt(5)) / 2
     big_a = 4 * (m - 1) / ((z - a2 + 1) * (z + a2 - 1) ** 2)
     big_b = (4 * n * math.log(m) / (z - a2 + 1) ** 2) * (
         -z
@@ -495,34 +534,44 @@ def _entropy_closed_floats(params: FractalParams) -> float:
         (1 / (-z + a2 - 1))
         * (z + a2 - 1)
         * (z + m * (n - 1) - n * (z + n + 4) + 1)
-        * math.log(golden ** (2 * n) - 2)
+        * log_golden_base
     )
-    big_d = 4**n * (math.sqrt(5) + 1) ** (-2 * n) * math.cos(2 * math.pi * n)
     return big_a * (big_b + big_c + big_d)
 
 
 def entropy_surface_rows(family: Family, n_range, m_range) -> list:
     """(n, m, offset, same, closed-or-None) rows, n-major order.
 
-    Both conventions come from one index-doubling walk of the vertex
-    recurrence per (n, m) cell, with closed-form exponent sums, and equal
-    :func:`entropy_estimates` at its default depth bit for bit.  It skips
-    :func:`entropy_estimates` to take each n's base log once and form no
-    deltas, which makes a cell about 1.5x cheaper.
+    Each value equals :func:`entropy_estimates` at its default depth, and
+    :func:`entropy_closed`, bit for bit; closed is None where that raises
+    :class:`DomainViolationError`.  Once per row n it takes the base log,
+    ``mult`` and the closed form's n-terms.  Once per (n, m) cell it works
+    on plain ints: the recurrence coefficients, one index-doubling walk
+    with the closed-form exponent sums, the two ratios, and the cell part
+    of the closed form.  Each n and each m is checked by
+    :class:`FractalParams` once, not once per cell.
     """
+    m_values = [FractalParams(family, 3, m).m for m in m_range]  # checks each m
     rows = []
     for n in n_range:
+        FractalParams(family, n, 2)  # checks n
         base_count, mult = _tau_terms(family, n)
         log_base = math.log(base_count)
-        for m in m_range:
-            p = FractalParams(family, n, m)
+        try:
+            n_terms = _entropy_closed_n_terms(family, n)
+        except ArithmeticError:
+            n_terms = None  # the formula passes float range at every m
+        for m in m_values:
             log_m = math.log(m)
-            _, last = _exponent_sums_closed(p, DEFAULT_ENTROPY_ITERS)
+            _, last = _exponent_sums_of(*_recurrence_coefficients(family, n, m),
+                                        DEFAULT_ENTROPY_ITERS)
             offset = _estimate(last, False, log_base, mult, log_m)
             same = _estimate(last, True, log_base, mult, log_m)
-            try:
-                closed = entropy_closed(p)
-            except DomainViolationError:
-                closed = None
+            closed = None
+            if n_terms is not None:
+                try:
+                    closed = _entropy_closed_floats(family, n, m, n_terms)
+                except (ArithmeticError, DomainViolationError):
+                    pass
             rows.append((n, m, offset, same, closed))
     return rows

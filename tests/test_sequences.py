@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractree import sequences
 from fractree.construct import build
 from fractree.errors import BadParameterError, DomainViolationError
 from fractree.params import Family, FractalParams
@@ -12,6 +13,7 @@ from fractree.sequences import (
     entropy_estimates,
     _exponent_sums,
     _exponent_sums_closed,
+    _exponent_sums_of,
     QuadraticNumber,
     RecurrenceSpec,
     binet_vertex,
@@ -122,6 +124,19 @@ class TestExponentSums:
             assert all(type(x) is int for x in step)
         with pytest.raises(BadParameterError):
             _exponent_sums_closed(FractalParams(Family.CYCLE, 3, 2), -1)
+
+    def test_non_integral_sums_are_refused(self, monkeypatch):
+        # for any walk that is right the sums divide exactly (they restate
+        # sum of u_j), so feed the core a wrong pair: (1, 1) is no
+        # (U_{k-1}, U_k) of wheel-4-3 (a = 8, b = 1, u_1 = 5), and D = -8
+        # does not divide the first sum it gives
+        monkeypatch.setattr(sequences, "_fundamental_pair", lambda a, b, k: (1, 1))
+        with pytest.raises(ArithmeticError, match="a=8, b=1, u1=5 at k=10 are not integers"):
+            _exponent_sums_of(8, 1, 5, 10)
+        p = FractalParams(Family.WHEEL, 4, 3)
+        with pytest.raises(ArithmeticError) as caught:
+            _exponent_sums_closed(p, 10)
+        assert str(caught.value) == f"exponent sums of {p} at k=10 are not integers"
 
 
 class TestQuadraticNumber:
@@ -379,6 +394,22 @@ class TestEntropyBitExact:
             else:
                 assert closed == entropy_closed(p)
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_surface_matches_one_cell_functions(self, family):
+        # the surface has its own loop; every cell of the CLI's domain
+        rows = entropy_surface_rows(family, range(3, 65), range(2, 65))
+        assert [r[:2] for r in rows] == [(n, m) for n in range(3, 65) for m in range(2, 65)]
+        for n, m, offset, same, closed in rows:
+            p = FractalParams(family, n, m)
+            want_offset, want_same = (est.value for est in entropy_estimates(p))
+            assert (offset.hex(), same.hex()) == (want_offset.hex(), want_same.hex())
+            try:
+                want_closed = entropy_closed(p)
+            except DomainViolationError:
+                assert closed is None
+            else:
+                assert closed.hex() == want_closed.hex()
+
 
 class TestEntropy:
     def test_published_cycle_values(self):
@@ -449,6 +480,17 @@ class TestEntropy:
         # closed form undefined when n <= m
         undefined = [r for r in rows if r[0] <= r[1]]
         assert undefined and all(r[4] is None for r in undefined)
+
+    def test_surface_edges(self):
+        # past n = 737 the wheel formula's n-terms leave float range at every m
+        rows = entropy_surface_rows(Family.WHEEL, range(800, 801), range(2, 4))
+        assert [r[4] for r in rows] == [None, None]
+        with pytest.raises(DomainViolationError):
+            entropy_closed(FractalParams(Family.WHEEL, 800, 2))
+        for n_range, m_range in [(range(2, 4), range(2, 3)), (range(3, 4), range(1, 3)),
+                                 ([3, True], [2]), ([3], [2, 2.0])]:
+            with pytest.raises(BadParameterError):
+                entropy_surface_rows(Family.CYCLE, n_range, m_range)
 
     def test_deep_iteration_no_overflow(self):
         # exact-ratio evaluation keeps working far beyond float range

@@ -292,7 +292,8 @@ class TestTauBlocks:
 
     @pytest.mark.parametrize("walk", [blocks, tau_blocks], ids=["blocks", "tau_blocks"])
     def test_gc_state_restored(self, walk):
-        # the block walk pauses cyclic GC and must hand back the caller's state
+        # the block walk, whole or cut short by a disconnected graph, leaves
+        # the caller's cyclic GC state as it found it
         g = build(FractalParams(Family.CYCLE, 3, 2, 2))
         disconnected = plain_graph(3, [(0, 1)])
         assert gc.isenabled()
