@@ -37,9 +37,7 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-# the largest vertex count a command may step a recurrence to, and the most
-# digits `invariants sizes` may print
-MAX_RECURRENCE_BITS = 1 << 16
+# the most digits `invariants sizes` may print
 MAX_SIZES_DIGITS = 1 << 24
 # a wheel's base count L_2n - 2 is a factored count's base, and prints as a
 # JSON int only within the interpreter's default int-to-str digit limit
@@ -51,40 +49,12 @@ class _UsageError(Exception):
     pass
 
 
-def _check_cap(count: int, per: float, cap: int, unit: str, what: str) -> None:
-    """Refuse (exit 3) when count * per, predicted in floats, passes cap.
-
-    ``count`` may be an int of thousands of digits, so the product is only
-    formed for the message, and shown as "over 10^308" past float range.
-    """
-    if count > cap / per:
-        try:
-            size = f"about {count * per:.3e}"
-        except OverflowError:
-            size = "over 10^308"
-        raise OverflowCapError(f"{what} {size} {unit}s, past the {cap}-{unit} cap")
-
-
-def _growth(params: FractalParams, log) -> float:
-    """log of the dominant root (a + sqrt(a*a + 4b)) / 2 of the vertex
-    recurrence, in floats; 4b / a^2 lies in (-1, 1] even for huge n and m."""
-    spec = sequences.RecurrenceSpec.for_params(params)
-    return log(spec.a) + log((1 + math.sqrt(1 + 4 * spec.b / spec.a**2)) / 2)
-
-
-def _check_steps(params: FractalParams, k: int, what: str) -> None:
-    """Refuse a command that would step the vertex count to u_k, about
-    k * log2(root) bits, past MAX_RECURRENCE_BITS."""
-    _check_cap(k, _growth(params, math.log2), MAX_RECURRENCE_BITS, "bit",
-               f"{what} would step vertex counts to")
-
-
 def _check_wheel_base(params: FractalParams) -> None:
     """Refuse a wheel whose base count L_2n - 2, about 2n * log10(golden
     ratio) digits, would pass MAX_WHEEL_BASE_DIGITS."""
     if params.family is Family.WHEEL:
-        _check_cap(2 * params.n, _LOG10_GOLDEN, MAX_WHEEL_BASE_DIGITS, "digit",
-                   f"wheel n = {short_count_str(params.n)} would step its base count to")
+        sequences.check_cap(2 * params.n, _LOG10_GOLDEN, MAX_WHEEL_BASE_DIGITS, "digit",
+                            f"wheel n = {short_count_str(params.n)} would step its base count to")
 
 
 @functools.cache
@@ -164,7 +134,7 @@ def _resolve_params(args, default_stage=None) -> FractalParams:
         i = default_stage
     params = FractalParams(_parse_family(family), n, m, i)
     # the stage-i graph has u_{i+1} vertices
-    _check_steps(params, params.i + 1, f"stage {short_count_str(params.i)}")
+    sequences.check_steps(params, params.i + 1, f"stage {short_count_str(params.i)}")
     return params
 
 
@@ -249,7 +219,7 @@ def _cmd_invariants(args) -> int:
         params = _resolve_params(args, default_stage=0)
         iters = sequences.DEFAULT_ENTROPY_ITERS if args.iters is None else args.iters
         _check_wheel_base(params)
-        _check_steps(params, iters + 1, f"--iters {short_count_str(iters)}")
+        sequences.check_steps(params, iters + 1, f"--iters {short_count_str(iters)}")
         off, same = sequences.entropy_estimates(params, iters)
         lines.append(f"offset-stage: {_fmt10(off.value)} (delta {off.delta:.3e})")
         lines.append(f"same-stage: {_fmt10(same.value)} (delta {same.delta:.3e})")
@@ -273,10 +243,10 @@ def _cmd_invariants(args) -> int:
         params = _resolve_params(args, default_stage=0)
         upto = max(10 if args.upto is None else args.upto, params.i + 1)
         what = f"invariants sizes to index {short_count_str(upto)}"
-        _check_steps(params, upto, what)
+        sequences.check_steps(params, upto, what)
         # u_j and e_j have about j * log10(root) digits each
-        _check_cap(upto * upto, _growth(params, math.log10), MAX_SIZES_DIGITS, "digit",
-                   f"{what} would print")
+        sequences.check_cap(upto * upto, sequences.growth(params, math.log10),
+                            MAX_SIZES_DIGITS, "digit", f"{what} would print")
         seq = sequences.size_sequences(params, upto)
         lines.append(f"u: {', '.join(map(decimal_str, seq.u))}")
         lines.append(f"e: {', '.join(map(decimal_str, seq.e))}")

@@ -29,7 +29,7 @@ from .errors import BadParameterError, InvalidVertexSetError, SizeCapError
 from .exact import short_count_str
 from .graph import ROLE_CODE, Graph, VertexRole
 from .params import Family, FractalParams
-from .sequences import size_sequences, vertex_count
+from .sequences import check_steps, size_sequences, vertex_count
 
 DEFAULT_MAX_VERTICES = 10**6
 MAX_VERTICES_ENV = "FRACTREE_MAX_VERTICES"
@@ -131,9 +131,14 @@ def build(params: FractalParams) -> Graph:
     against the cap before any construction happens.  The cap is
     :data:`DEFAULT_MAX_VERTICES` (10^6), or the positive integer in the
     ``FRACTREE_MAX_VERTICES`` environment variable if that is set; any
-    other value there raises :class:`BadParameterError`.
+    other value there raises :class:`BadParameterError`.  A stage whose
+    count would pass :data:`~fractree.sequences.MAX_RECURRENCE_BITS` is
+    refused by its float estimate first, with
+    :class:`~fractree.errors.OverflowCapError`, so the exact count is never
+    stepped that far.
     """
     cap = _max_vertices()
+    check_steps(params, params.i + 1, f"stage {short_count_str(params.i)}")
     vertices = vertex_count(params, params.i + 1)
     if vertices > cap:
         raise SizeCapError(
@@ -286,17 +291,20 @@ def predicted_block_multiset(params: FractalParams) -> dict:
 
 
 def unfold_census_block_multiset(params: FractalParams) -> dict:
-    """Expand the copy census recursively into a full block multiset.
+    """Expand the copy census into a full block multiset, one stage at a
+    time: stage s holds its central block plus the multisets of the lower
+    stages its census counts, so each stage is unfolded once.
 
     Independent cross-check route: must agree with
     :func:`predicted_block_multiset` and with the structural decomposition
     of the built graph.
     """
-    if params.i == 0:
-        return {_base_signature(params, 0): 1}
-    census = copy_census(params)
-    out = {census.central: 1}
-    for t, count in census.stage_counts.items():
-        for key, mult in unfold_census_block_multiset(params.with_stage(t)).items():
-            out[key] = out.get(key, 0) + count * mult
-    return out
+    stages = [{_base_signature(params, 0): 1}]
+    for s in range(1, params.i + 1):
+        census = copy_census(params.with_stage(s))
+        out = {census.central: 1}
+        for t, count in census.stage_counts.items():
+            for key, mult in stages[t].items():
+                out[key] = out.get(key, 0) + count * mult
+        stages.append(out)
+    return stages[params.i]

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParameterError, DomainViolationError
+from .errors import BadParameterError, DomainViolationError, OverflowCapError
 from .params import Family, FractalParams
 
 
@@ -388,6 +388,38 @@ def vertex_count(params: FractalParams, j: int) -> int:
     spec = RecurrenceSpec.for_params(params)
     before, u = _fundamental_pair(spec.a, spec.b, j + 1)
     return (spec.u1 - spec.a) * before + u
+
+
+# the largest vertex count a recurrence may be stepped to, in bits
+MAX_RECURRENCE_BITS = 1 << 16
+
+
+def check_cap(count: int, per: float, cap: int, unit: str, what: str) -> None:
+    """Refuse when count * per, predicted in floats, passes cap.
+
+    ``count`` may be an int of thousands of digits, so the product is only
+    formed for the message, and shown as "over 10^308" past float range.
+    """
+    if count > cap / per:
+        try:
+            size = f"about {count * per:.3e}"
+        except OverflowError:
+            size = "over 10^308"
+        raise OverflowCapError(f"{what} {size} {unit}s, past the {cap}-{unit} cap")
+
+
+def growth(params: FractalParams, log) -> float:
+    """log of the dominant root (a + sqrt(a*a + 4b)) / 2 of the vertex
+    recurrence, in floats; 4b / a^2 lies in (-1, 1] even for huge n and m."""
+    spec = RecurrenceSpec.for_params(params)
+    return log(spec.a) + log((1 + math.sqrt(1 + 4 * spec.b / spec.a**2)) / 2)
+
+
+def check_steps(params: FractalParams, k: int, what: str) -> None:
+    """Refuse, in O(1), to step the vertex count to u_k, about
+    k * log2(root) bits, past MAX_RECURRENCE_BITS."""
+    check_cap(k, growth(params, math.log2), MAX_RECURRENCE_BITS, "bit",
+              f"{what} would step vertex counts to")
 
 
 def _exponent_sums_closed(params: FractalParams, upto: int) -> tuple:

@@ -1,7 +1,9 @@
 """Shared fixtures."""
 
+import gc
 import os
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,24 @@ def rng():
 @pytest.fixture(scope="session")
 def full_report():
     return verify_suite("full")
+
+
+def _traced(call, *args):
+    """call(*args), with the bytes still held once it returns and its peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = call(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, retained, peak
+
+
+@pytest.fixture
+def traced():
+    """:func:`_traced`: ``traced(call, *args)`` under tracemalloc."""
+    return _traced
 
 
 def _biconnected_piece(rng) -> list:

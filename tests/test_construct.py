@@ -1,8 +1,7 @@
 import ast
-import gc
 import json
 import re
-import tracemalloc
+import time
 from array import array
 from pathlib import Path
 
@@ -18,7 +17,12 @@ from fractree.construct import (
     predicted_block_multiset,
     unfold_census_block_multiset,
 )
-from fractree.errors import BadParameterError, InvalidVertexSetError, SizeCapError
+from fractree.errors import (
+    BadParameterError,
+    InvalidVertexSetError,
+    OverflowCapError,
+    SizeCapError,
+)
 from fractree.graph import (
     ROLE_CODE,
     Graph,
@@ -245,6 +249,19 @@ class TestBuild:
         with pytest.raises(SizeCapError):
             build(FractalParams(Family.WHEEL, 4, 2, 7))
 
+    def test_deep_stage_refused_before_any_work(self, monkeypatch):
+        # the float estimate refuses a stage whose exact count would take
+        # seconds to step (0.67 s at i = 10^6, 7 s at 4 * 10^6)
+        def no_work(*args):
+            raise AssertionError("the exact vertex count was stepped")
+
+        monkeypatch.setattr(construct, "vertex_count", no_work)
+        t0 = time.perf_counter()
+        with pytest.raises(OverflowCapError, match=r"^stage 10000000 would step vertex counts "
+                           r"to about 2\.105e\+07 bits, past the 65536-bit cap$"):
+            build(FractalParams(Family.CYCLE, 3, 2, 10**7))
+        assert time.perf_counter() - t0 < 0.1
+
     def test_size_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("FRACTREE_MAX_VERTICES", "10")
         with pytest.raises(SizeCapError):
@@ -318,33 +335,21 @@ class TestOnePassBuild:
         assert to_dot(fast) == to_dot(ref)
 
 
-def _traced_build(p):
-    """build(p), with the bytes it still holds once built and its peak."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        g = build(p)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return g, retained, peak
-
-
 @pytest.mark.parametrize("p", [FractalParams(Family.CYCLE, 3, 2, 6),
                                FractalParams(Family.WHEEL, 4, 2, 4)],
                          ids=lambda p: f"{p.family.value}-{p.n}-{p.m}-{p.i}")
 class TestBuildMemory:
-    def test_peak_within_the_graph_it_returns(self, p):
+    def test_peak_within_the_graph_it_returns(self, p, traced):
         # each stage is freed as the next is built, so the build holds
         # little beyond the finished graph at any moment
-        g, retained, peak = _traced_build(p)
+        g, retained, peak = traced(build, p)
         assert g.vertex_count > 9000
         assert peak <= 1.10 * retained
 
-    def test_retained_bytes_per_vertex(self, p):
+    def test_retained_bytes_per_vertex(self, p, traced):
         # measured 143.2 B per vertex at cycle-3-2-6 and 157.0 at
         # wheel-4-2-4; the bound is the larger plus 5%
-        g, retained, _ = _traced_build(p)
+        g, retained, _ = traced(build, p)
         assert retained <= 165 * g.vertex_count
 
 
@@ -379,6 +384,7 @@ class TestCensus:
             (Family.CYCLE, 3, 3, 2),
             (Family.CYCLE, 4, 3, 2),
             (Family.WHEEL, 3, 2, 2),
+            (Family.WHEEL, 4, 2, 1),
             (Family.WHEEL, 4, 2, 2),
             (Family.WHEEL, 5, 2, 1),
             (Family.WHEEL, 4, 3, 1),
@@ -396,6 +402,23 @@ class TestCensus:
             FractalParams(Family.WHEEL, 5, 3, 2),
         ):
             assert unfold_census_block_multiset(p) == predicted_block_multiset(p)
+
+    def test_census_unfolds_deep_stages(self, monkeypatch):
+        # each stage's census is read once; recursing into every lower
+        # stage doubled the cost per stage (1.7 s at wheel-4-2-18)
+        read = []
+
+        def counted(p):
+            read.append(p.i)
+            assert len(read) <= 50, "a stage's census was read twice"
+            return copy_census(p)
+
+        monkeypatch.setattr(construct, "copy_census", counted)
+        t0 = time.perf_counter()
+        for p in (FractalParams(Family.WHEEL, 4, 2, 50), FractalParams(Family.CYCLE, 5, 3, 50)):
+            read.clear()
+            assert unfold_census_block_multiset(p) == predicted_block_multiset(p)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_multiplicities_are_vertex_counts(self):
         # age-k blocks appear once per vertex of the stage-(i-k) graph

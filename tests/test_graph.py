@@ -1,7 +1,5 @@
-import gc
 import json
 import random
-import tracemalloc
 from array import array
 from collections import Counter
 from itertools import combinations
@@ -265,25 +263,13 @@ class TestBlocks:
         assert sum(len(b.edges) for b in blocks(g)) == g.edge_count
 
 
-def _traced(call, *args):
-    """call(*args), with the bytes still held once it returns and its peak."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        out = call(*args)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, retained, peak
-
-
 @pytest.mark.parametrize("i", [6, 7], ids=lambda i: f"cycle-3-2-{i}")
-def test_shape_walk_peak_within_the_graph(i):
+def test_shape_walk_peak_within_the_graph(i, traced):
     # the walk yields each block as it closes and keeps no list of them:
     # measured 0.47-0.49 of the graph's own bytes, against 0.78-0.80
     # with every block listed first
-    g, retained, _ = _traced(build, FractalParams(Family.CYCLE, 3, 2, i))
-    _, _, peak = _traced(block_shapes, g)
+    g, retained, _ = traced(build, FractalParams(Family.CYCLE, 3, 2, i))
+    _, _, peak = traced(block_shapes, g)
     assert peak <= 0.6 * retained
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -414,7 +415,10 @@ class TestEntropyBitExact:
 class TestEntropy:
     def test_published_cycle_values(self):
         p = FractalParams(Family.CYCLE, 3, 2)
+        t0 = time.perf_counter()
         offset, same = entropy_estimates(p, 60)
+        assert entropy_closed(p) == pytest.approx(offset.value, abs=1e-6)
+        assert time.perf_counter() - t0 < 1.0
         assert offset.value == pytest.approx(1.70465, abs=1e-4)
         assert same.value == pytest.approx(0.396176, abs=1e-4)
         assert abs(offset.delta) < 1e-12

@@ -1,6 +1,7 @@
 import gc
 import heapq
 import math
+import time
 from itertools import accumulate
 
 import pytest
@@ -329,6 +330,12 @@ class TestTauClosed:
     )
     def test_published_table(self, i, factors):
         assert tau_closed(FractalParams(Family.CYCLE, 3, 2, i)) == FactoredCount(factors)
+
+    def test_published_table_in_under_a_second(self):
+        t0 = time.perf_counter()
+        for i in range(1, 5):
+            tau_closed(FractalParams(Family.CYCLE, 3, 2, i))
+        assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize(
         "i,factors",
