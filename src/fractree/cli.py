@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from . import construct, clustering, sequences, spanning, verify
@@ -140,15 +141,25 @@ def _resolve_params(args, default_stage=None) -> FractalParams:
 
 def _emit(chunks, out_path) -> None:
     """Write the strings of ``chunks`` to ``out_path``, or to stdout, as
-    they come."""
+    they come.  Every stdout write goes through here and is flushed, so a
+    closed pipe or a full disk is a usage error, with nothing left to fail
+    as the interpreter exits."""
     if out_path:
         try:
             with open(out_path, "w") as fh:
                 fh.writelines(chunks)
         except OSError as exc:
             raise _UsageError(f"cannot write {out_path}: {exc.strerror}") from None
-    else:
+        return
+    try:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what stays buffered would fail again at exit: send it to the null device
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise _UsageError(f"cannot write stdout: {exc.strerror}") from None
 
 
 _EXPORTS = {"edgelist": edgelist_chunks, "json": json_chunks, "dot": dot_chunks}
@@ -315,7 +326,7 @@ def _cmd_surface(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = verify.verify_suite("quick" if args.quick else "full")
-    sys.stdout.write(report.to_table_text())
+    _emit([report.to_table_text()], None)
     if args.json_path:
         _emit([report.to_json_text()], args.json_path)
     return report.exit_code
@@ -324,11 +335,14 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help and 2 for usage errors
-        return 0 if not exc.code else EXIT_USAGE
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 0 once it has printed --help, and 2 for usage errors
+            if exc.code:
+                return EXIT_USAGE
+            _emit([], None)
+            return EXIT_OK
         if args.command == "generate":
             return _cmd_generate(args)
         if args.command == "count":

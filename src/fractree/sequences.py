@@ -18,19 +18,19 @@ ln tau(G^(k)) = S1(k)*ln(base) + mult*S2(k)*ln(m), where
 estimate, gives one base copy's tree count (n, or L_2n - 2 for a wheel,
 from the Lucas numbers kept here) and its cycle rank (1 or n).  The
 exponents S1(k) = sum of u_j and S2(k) = sum of (k-j)*u_j over j <= k
-have two exact routes.  :func:`_exponent_sums_of` reaches u_k by index
-doubling (O(log k) integer products) and sums the recurrence in closed
-form, on plain ints; it serves every hot path.  ``tau_closed`` and the
-entropy estimates call it through :func:`_exponent_sums_closed`, which
-takes a :class:`FractalParams`, and the entropy surface calls it once per
-(n, m) cell.  :func:`_exponent_sums` keeps running sums over
-:func:`size_sequences`, and stays as the reference that ``verify`` and
-the tests compare against.
+have two exact routes.  :func:`_exponent_sums_of` is the one path of
+every caller (``tau_closed``, the entropy estimates and the surface, each
+with the coefficients below): it sums the recurrence in closed form on
+plain ints.  :func:`_exponent_sums` keeps running sums over
+:func:`size_sequences`, the reference that ``verify`` and the tests
+compare against.
 
-The recurrence's coefficients (a, b, u_1) are stated once, in
-:func:`_recurrence_coefficients`, for :class:`RecurrenceSpec` and the
-surface alike.  The explicit entropy formulas are stated once too, as
-their terms in n alone (:func:`_entropy_closed_n_terms`) and the rest
+The coefficients (a, b, u_1) of the recurrence, with u_0 = 1, are stated
+once, in :func:`_recurrence_coefficients`; u_{k-1} and u_k come from one
+index-doubling walk (O(log k) integer products) by one identity,
+:func:`_vertex_pair`, for :func:`vertex_count` and the exponent sums.  The explicit
+entropy formulas are stated once too, as their terms in n alone
+(:func:`_entropy_closed_n_terms`) and the rest
 (:func:`_entropy_closed_floats`); :func:`entropy_closed` composes the
 two, and the surface takes the n-terms once per row.
 """
@@ -290,40 +290,35 @@ def _recurrence_coefficients(family: Family, n: int, m: int) -> tuple:
 
 @dataclass(frozen=True)
 class RecurrenceSpec:
-    """Decoupled second-order recurrence x_j = a*x_{j-1} + b*x_{j-2}."""
+    """Decoupled second-order recurrence x_j = a*x_{j-1} + b*x_{j-2} of the
+    vertex counts, seeded x_0 = 1 and x_1 = u1."""
 
     a: int
     b: int
-    discriminant: int
-    u0: int
     u1: int
 
     @classmethod
     def for_params(cls, params: FractalParams) -> "RecurrenceSpec":
-        a, b, u1 = _recurrence_coefficients(params.family, params.n, params.m)
-        return cls(a, b, a * a + 4 * b, 1, u1)
+        return cls(*_recurrence_coefficients(params.family, params.n, params.m))
+
+    @property
+    def discriminant(self) -> int:
+        return self.a * self.a + 4 * self.b
 
     def roots(self) -> tuple:
         d = self.discriminant
         return _quadratic(self.a, 1, 2, d), _quadratic(self.a, -1, 2, d)
 
-    def binet_coefficients(self) -> tuple:
-        """Coefficients (A, B) with x_j = A*r+^j + B*r-^j, from the seeds."""
-        plus, minus = self.roots()
-        sqrt_d = _quadratic(0, 1, 1, self.discriminant)
-        coeff_plus = (self.u1 - minus * self.u0) / sqrt_d
-        coeff_minus = self.u0 - coeff_plus
-        return coeff_plus, coeff_minus
-
 
 def binet_vertex(params: FractalParams, j: int) -> int:
-    """Closed-form u_j, exact; always equals the recurrence value."""
+    """Closed-form u_j = A*r+^j + (1 - A)*r-^j, exact, where the seeds give
+    A = (u_1 - r-) / sqrt(d); always equals the recurrence value."""
     if j < 0:
         raise BadParameterError("index must be >= 0")
     spec = RecurrenceSpec.for_params(params)
     plus, minus = spec.roots()
-    coeff_plus, coeff_minus = spec.binet_coefficients()
-    return (coeff_plus * plus**j + coeff_minus * minus**j).as_exact_int()
+    coeff_plus = (spec.u1 - minus) / _quadratic(0, 1, 1, spec.discriminant)
+    return (coeff_plus * plus**j + (1 - coeff_plus) * minus**j).as_exact_int()
 
 
 def binet_vertex_fixed_constants(params: FractalParams, j: int) -> QuadraticNumber:
@@ -377,17 +372,19 @@ def _fundamental_pair(a: int, b: int, k: int) -> tuple:
     return before, u
 
 
-def vertex_count(params: FractalParams, j: int) -> int:
-    """u_j (the stage-(j-1) graph's vertex count) in O(log j) products.
+def _vertex_pair(a: int, b: int, u1: int, k: int) -> tuple:
+    """(u_{k-1}, u_k) for k >= 1 of u_j = a*u_{j-1} + b*u_{j-2} with
+    u_0 = 1, from one walk of :func:`_fundamental_pair`:
+    u_{k-1} = (u_1 - a)*U_{k-1} + U_k and u_k = u_1*U_k + b*U_{k-1}."""
+    fundamental_before, fundamental = _fundamental_pair(a, b, k)
+    return (u1 - a) * fundamental_before + fundamental, u1 * fundamental + b * fundamental_before
 
-    With u_0 = 1, u_j = (u_1 - a)*U_j + U_{j+1} for the fundamental
-    sequence U of :func:`_fundamental_pair`.
-    """
+
+def vertex_count(params: FractalParams, j: int) -> int:
+    """u_j (the stage-(j-1) graph's vertex count) in O(log j) products."""
     if j < 0:
         raise BadParameterError("index must be >= 0")
-    spec = RecurrenceSpec.for_params(params)
-    before, u = _fundamental_pair(spec.a, spec.b, j + 1)
-    return (spec.u1 - spec.a) * before + u
+    return _vertex_pair(*_recurrence_coefficients(params.family, params.n, params.m), j + 1)[0]
 
 
 # the largest vertex count a recurrence may be stepped to, in bits
@@ -411,8 +408,8 @@ def check_cap(count: int, per: float, cap: int, unit: str, what: str) -> None:
 def growth(params: FractalParams, log) -> float:
     """log of the dominant root (a + sqrt(a*a + 4b)) / 2 of the vertex
     recurrence, in floats; 4b / a^2 lies in (-1, 1] even for huge n and m."""
-    spec = RecurrenceSpec.for_params(params)
-    return log(spec.a) + log((1 + math.sqrt(1 + 4 * spec.b / spec.a**2)) / 2)
+    a, b, _ = _recurrence_coefficients(params.family, params.n, params.m)
+    return log(a) + log((1 + math.sqrt(1 + 4 * b / a**2)) / 2)
 
 
 def check_steps(params: FractalParams, k: int, what: str) -> None:
@@ -422,27 +419,12 @@ def check_steps(params: FractalParams, k: int, what: str) -> None:
               f"{what} would step vertex counts to")
 
 
-def _exponent_sums_closed(params: FractalParams, upto: int) -> tuple:
-    """The last two steps of :func:`_exponent_sums` (one if ``upto`` is 0),
-    in closed form: :func:`_exponent_sums_of` on the coefficients of
-    ``params``, with ``params`` named if a sum comes out non-integral."""
-    if upto < 0:
-        raise BadParameterError("upto must be >= 0")
-    try:
-        return _exponent_sums_of(*_recurrence_coefficients(params.family, params.n, params.m),
-                                 upto)
-    except ArithmeticError:
-        raise ArithmeticError(
-            f"exponent sums of {params} at k={upto} are not integers") from None
-
-
 def _exponent_sums_of(a: int, b: int, u1: int, upto: int) -> tuple:
     """The last two (S1(k), S2(k), u_k, u_{k+1}) steps for k = ``upto`` >= 0
     (one if it is 0) of u_j = a*u_{j-1} + b*u_{j-2} with u_0 = 1, in
     closed form from three consecutive vertex counts.
 
-    u_{k-1} = (u_1 - a)*U_{k-1} + U_k and u_k = u_1*U_k + b*U_{k-1} come
-    from one index-doubling walk (:func:`_fundamental_pair`), and
+    u_{k-1} and u_k come from :func:`_vertex_pair`, and
     u_{k+1} = a*u_k + b*u_{k-1}.  Summing the recurrence over j = 2..k
     gives, with D = 1 - a - b (1 - m or n*(1 - m) for the two families,
     never 0) and C = 1 + u_1 - a:
@@ -457,9 +439,7 @@ def _exponent_sums_of(a: int, b: int, u1: int, upto: int) -> tuple:
     """
     if upto == 0:
         return ((1, 0, 1, u1),)
-    fundamental_before, fundamental = _fundamental_pair(a, b, upto)
-    before = (u1 - a) * fundamental_before + fundamental
-    u = u1 * fundamental + b * fundamental_before
+    before, u = _vertex_pair(a, b, u1, upto)
     d, c = 1 - a - b, 1 + u1 - a
     s1, r1 = divmod(c - (a + b) * u - b * before, d)
     s1_prev = s1 - u
@@ -476,13 +456,13 @@ class EntropyEstimate:
     delta: float
 
 
-def _estimate(step: tuple, same_stage: bool, log_base: float, mult: int, log_m: float) -> float:
-    # ln tau(G^(k)) / u_k (offset) or / u_{k+1} (same stage) for one
+def _estimates(step: tuple, log_base: float, mult: int, log_m: float) -> tuple:
+    # (offset, same): ln tau(G^(k)) / u_k and / u_{k+1} for one
     # (S1, S2, u_k, u_{k+1}) step; int/int true division is correctly rounded, so
     # each ratio is the float nearest the exact rational at any size
     s1, s2, u, u_next = step
-    denom = u_next if same_stage else u
-    return (s1 / denom) * log_base + mult * (s2 / denom) * log_m
+    return ((s1 / u) * log_base + mult * (s2 / u) * log_m,
+            (s1 / u_next) * log_base + mult * (s2 / u_next) * log_m)
 
 
 DEFAULT_ENTROPY_ITERS = 60
@@ -497,12 +477,12 @@ def entropy_estimates(params: FractalParams, iters: int = DEFAULT_ENTROPY_ITERS)
         raise BadParameterError("iters must be >= 2")
     base_count, mult = _tau_terms(params.family, params.n)
     terms = (math.log(base_count), mult, math.log(params.m))
-    previous, last = _exponent_sums_closed(params, iters)
-    out = []
-    for same in (False, True):
-        value = _estimate(last, same, *terms)
-        out.append(EntropyEstimate(value, value - _estimate(previous, same, *terms)))
-    return tuple(out)
+    previous, last = _exponent_sums_of(
+        *_recurrence_coefficients(params.family, params.n, params.m), iters)
+    offset, same = _estimates(last, *terms)
+    offset_before, same_before = _estimates(previous, *terms)
+    return (EntropyEstimate(offset, offset - offset_before),
+            EntropyEstimate(same, same - same_before))
 
 
 def entropy_limit(params: FractalParams) -> EntropyEstimate:
@@ -597,8 +577,7 @@ def entropy_surface_rows(family: Family, n_range, m_range) -> list:
             log_m = math.log(m)
             _, last = _exponent_sums_of(*_recurrence_coefficients(family, n, m),
                                         DEFAULT_ENTROPY_ITERS)
-            offset = _estimate(last, False, log_base, mult, log_m)
-            same = _estimate(last, True, log_base, mult, log_m)
+            offset, same = _estimates(last, log_base, mult, log_m)
             closed = None
             if n_terms is not None:
                 try:

@@ -34,7 +34,7 @@ from .errors import DisconnectedGraphError, SizeCapError
 from .exact import FactoredCount, short_count_str
 from .graph import Graph, block_shapes, shape_edges
 from .params import FractalParams
-from .sequences import _exponent_sums_closed, _tau_terms
+from .sequences import _exponent_sums_of, _recurrence_coefficients, _tau_terms
 
 DEFAULT_ORACLE_MAX_VERTICES = 25_000
 
@@ -46,9 +46,10 @@ def tau_closed(params: FractalParams) -> FactoredCount:
     :func:`~fractree.sequences._tau_terms`: n^S1 * m^S2 for a cycle,
     (L_{2n}-2)^S1 * m^(n*S2) for a wheel.  The exponent sums S1(i) and
     S2(i) come exactly, in closed form, from three consecutive vertex
-    counts (:func:`~fractree.sequences._exponent_sums_closed`).
+    counts (:func:`~fractree.sequences._exponent_sums_of`).
     """
-    *_, (s1, s2, _, _) = _exponent_sums_closed(params, params.i)
+    *_, (s1, s2, _, _) = _exponent_sums_of(
+        *_recurrence_coefficients(params.family, params.n, params.m), params.i)
     base, mult = _tau_terms(params.family, params.n)
     return FactoredCount({base: s1}) * FactoredCount({params.m: mult * s2})
 

@@ -5,8 +5,9 @@ a built graph) against an independent route (closed form, block product,
 published fixture).  The checks are declared in one registry: each entry
 holds its two routes as zero-argument callables, and one runner times
 every route on its own.  Building the registry computes nothing.  A value
-that two checks share (a graph, a determinant, a seeded random draw) is one
-cached thunk, computed by whichever route needs it first.
+that two checks share (a graph, a determinant, a seeded random draw) is
+computed once, by whichever route needs it first; graphs come from one
+memo per registry.
 
 Mismatches never abort the run.  Known disagreements of the published
 closed forms with direct enumeration live in an allowlist with the exact
@@ -363,9 +364,8 @@ def _arith() -> list:
     ]
 
 
-def _graph() -> list:
+def _graph(built: Callable) -> list:
     p = FractalParams(Family.CYCLE, 3, 2, 2)
-    g = cache(lambda: construct.build(p))
 
     def minors():
         w5 = construct.base(Family.WHEEL, 5)
@@ -374,30 +374,30 @@ def _graph() -> list:
 
     return [
         Check("graph/degree-sum", _pstr(p), "sum-of-degrees",
-              lambda: sum(d * k for d, k in graph.degree_histogram(g()).items()),
-              "twice-edge-count", lambda: 2 * g().edge_count),
+              lambda: sum(d * k for d, k in graph.degree_histogram(built(p)).items()),
+              "twice-edge-count", lambda: 2 * built(p).edge_count),
         Check("graph/blocks-edge-partition", _pstr(p), "sum-of-block-edges",
-              lambda: sum(len(b.edges) for b in graph.blocks(g())),
-              "edge-count", lambda: g().edge_count),
+              lambda: sum(len(b.edges) for b in graph.blocks(built(p))),
+              "edge-count", lambda: built(p).edge_count),
         Check("graph/omitted-vertex-independence", "wheel n=5, all 6 minors",
               "distinct-minor-determinants", minors,
               "single-value", lambda: str(sequences.tau_wheel_base(5))),
     ]
 
 
-def _construct() -> list:
+def _construct(built: Callable) -> list:
     C, W, P = Family.CYCLE, Family.WHEEL, FractalParams
 
     def size_law(p):
-        def built():
-            g = construct.build(p)
-            return g.vertex_count, g.edge_count
+        def counted():
+            g = built(p)  # edges from the adjacency, not the build's own tally
+            return g.vertex_count, sum(map(len, g.adjacency)) // 2
 
         def recurrence():
             seq = sequences.size_sequences(p, p.i + 1)
             return seq.u[p.i + 1], seq.e[p.i + 1]
 
-        return _on("construct/size-law", p, "built-graph", built, "recurrence", recurrence)
+        return _on("construct/size-law", p, "built-graph", counted, "recurrence", recurrence)
 
     def ept_law(m):
         def subdivided():
@@ -418,7 +418,7 @@ def _construct() -> list:
 
         return [
             _on("construct/block-census", p, "structural-blocks",
-                lambda: graph.format_block_census(graph.block_census(construct.build(p))),
+                lambda: graph.format_block_census(graph.block_census(built(p))),
                 "predicted-multiset", predicted, level=level),
             _on("construct/census-unfold", p, "census-unfolded",
                 lambda: graph.format_block_census(construct.unfold_census_block_multiset(p)),
@@ -432,7 +432,7 @@ def _construct() -> list:
                      "structural-count", lambda: construct.copy_census(p).stage_counts[t],
                      "stated-count", lambda: p.n * p.m ** (p.i - t - 2))
 
-    def digest():
+    def digest():  # two independent builds, never the memo's
         text = graph.to_edgelist_text(construct.build(P(W, 4, 2, 1)))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -451,21 +451,20 @@ def _construct() -> list:
     ]
 
 
-def _tau_checks(p: FractalParams, level: str = QUICK) -> list:
+def _tau_checks(p: FractalParams, built: Callable, level: str = QUICK) -> list:
     """closed-vs-oracle and oracle-vs-blocks for one graph, sharing its
-    build and its matrix-tree determinant."""
-    g = cache(lambda: construct.build(p))
-    oracle = cache(lambda: spanning.tau_oracle(g()))
+    build (from ``built``) and its matrix-tree determinant."""
+    oracle = cache(lambda: spanning.tau_oracle(built(p)))
     return [
         _on("spanning/closed-vs-oracle", p, "closed-form",
             lambda: exact.factored_expand(spanning.tau_closed(p)), "matrix-tree", oracle,
             level=level),
         _on("spanning/oracle-vs-blocks", p, "matrix-tree", oracle,
-            "block-product", lambda: spanning.tau_blocks(g()), level=level),
+            "block-product", lambda: spanning.tau_blocks(built(p)), level=level),
     ]
 
 
-def _spanning() -> list:
+def _spanning(built: Callable) -> list:
     C, W, P = Family.CYCLE, Family.WHEEL, FractalParams
 
     # both identities draw from one seeded stream, subdivision first
@@ -501,8 +500,8 @@ def _spanning() -> list:
     full = [P(C, n, m, i) for n in (5, 6) for m in (2, 3) for i in (1, 2)]
     full += [P(C, 3, 2, 3), P(W, 4, 2, 2)]
     return [
-        *(check for p in quick for check in _tau_checks(p)),
-        *(check for p in full for check in _tau_checks(p, FULL)),
+        *(check for p in quick for check in _tau_checks(p, built)),
+        *(check for p in full for check in _tau_checks(p, built, FULL)),
         Check("spanning/subdivision-identity", "5 seeded random graphs", "tau-of-subdivision",
               lambda: _joined(spanning.tau_oracle(construct.ept(g, m)) for g, m in draws()[0]),
               "m^rank*tau",
@@ -574,7 +573,7 @@ def _sequences() -> list:
     def recurrences(p):
         def decoupled():
             spec = sequences.RecurrenceSpec.for_params(p)
-            out = [spec.u0, spec.u1]
+            out = [1, spec.u1]
             for _ in range(2, 13):
                 out.append(spec.a * out[-1] + spec.b * out[-2])
             return tuple(out)
@@ -653,11 +652,11 @@ def _sequences() -> list:
     ]
 
 
-def _clustering() -> list:
+def _clustering(built: Callable) -> list:
     C, W, P = Family.CYCLE, Family.WHEEL, FractalParams
 
     def scan(p):
-        return cache(lambda: clustering.average_clustering(construct.build(p)).average)
+        return cache(lambda: clustering.average_clustering(built(p)).average)
 
     def closed(p, direct, kind="direct-vs-closed", **options):
         return _on(f"clustering/{kind}", p, "direct-scan", direct,
@@ -673,7 +672,7 @@ def _clustering() -> list:
 
     def degree_census(p):
         return _on("clustering/degree-census", p, "built-histogram",
-                   lambda: sorted(graph.degree_histogram(construct.build(p)).items()),
+                   lambda: sorted(graph.degree_histogram(built(p)).items()),
                    "predicted-histogram",
                    lambda: sorted(clustering.degree_census_predicted(p).items()))
 
@@ -701,8 +700,11 @@ def _clustering() -> list:
 
 def registry() -> list:
     """Every check at every level, grouped by module.  Nothing is computed
-    until a route is called."""
-    return [*_arith(), *_graph(), *_construct(), *_spanning(), *_sequences(), *_clustering()]
+    until a route is called; the sections share one memo of built graphs,
+    made anew by each call, so no graph is carried from one run to the next."""
+    built = cache(construct.build)
+    return [*_arith(), *_graph(built), *_construct(built), *_spanning(built), *_sequences(),
+            *_clustering(built)]
 
 
 def verify_suite(level: str = FULL) -> DiscrepancyReport:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import hashlib
 import io
@@ -28,14 +29,10 @@ def run_cli(*args):
     return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
 
 
-def run_module(*args, env=None):
+def run_module(*args, env=None, stdout=subprocess.PIPE):
     """Run ``python -m fractree.cli`` in a fresh interpreter."""
-    return subprocess.run(
-        [sys.executable, "-m", "fractree.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "fractree.cli", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env)
 
 
 def assert_clean_error(r, code):
@@ -140,6 +137,31 @@ class TestGenerate:
         a = run_cli("generate", "wheel", "4", "2", "1", "--format", "json")
         b = run_cli("generate", "wheel", "4", "2", "1", "--format", "json")
         assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("target", ["closed-pipe", "/dev/full"])
+@pytest.mark.parametrize("argv, unbuffered", [
+    ("count cycle 3 2 2", False), ("count cycle 3 2 2", True), ("verify --quick", False),
+    ("verify --quick", True), ("--help", False),  # argparse drops an unbuffered one itself
+])
+def test_unwritable_stdout_exits_2(target, argv, unbuffered):
+    """One error line and exit 2, whether the write fails at once or at the
+    flush, with nothing left to fail as the interpreter exits."""
+    if target == "closed-pipe":
+        read, stdout = os.pipe()
+        os.close(read)
+    elif os.path.exists(target):
+        stdout = os.open(target, os.O_WRONLY)
+    else:
+        pytest.skip(f"needs {target}")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
+    try:
+        r = run_module(*argv.split(), env=env, stdout=stdout)
+    finally:
+        os.close(stdout)
+    error = os.strerror(errno.EPIPE if target == "closed-pipe" else errno.ENOSPC)
+    assert (r.returncode, r.stderr) == (2, f"error: cannot write stdout: {error}\n")
 
 
 class TestExportMemory:
@@ -273,13 +295,13 @@ class TestInvariants:
 
     def test_entropy_steps_the_recurrence_once(self, monkeypatch):
         passes = []
-        original = sequences._exponent_sums_closed
+        original = sequences._exponent_sums_of
 
-        def counted(params, upto):
+        def counted(a, b, u1, upto):
             passes.append(upto)
-            return original(params, upto)
+            return original(a, b, u1, upto)
 
-        monkeypatch.setattr(sequences, "_exponent_sums_closed", counted)
+        monkeypatch.setattr(sequences, "_exponent_sums_of", counted)
         r = run_cli("invariants", "entropy", "wheel", "4", "3", "--iters", "400")
         assert r.returncode == 0
         assert passes == [400]
@@ -450,11 +472,11 @@ class TestRecurrenceCaps:
         def no_work(*args, **kwargs):
             raise AssertionError("a recurrence was stepped past the cap")
 
-        for name in ("_exponent_sums_closed", "size_sequences", "vertex_count",
+        for name in ("_exponent_sums_of", "size_sequences", "vertex_count",
                      "tau_wheel_base"):
             monkeypatch.setattr(sequences, name, no_work)
         # spanning binds its own name for the closed-form sums
-        monkeypatch.setattr(cli.spanning, "_exponent_sums_closed", no_work)
+        monkeypatch.setattr(cli.spanning, "_exponent_sums_of", no_work)
         r = run_cli(*args.split())
         assert_clean_error(r, 3)
         assert r.stdout == ""

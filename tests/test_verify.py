@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -6,6 +7,7 @@ import time
 import pytest
 
 from fractree import construct, sequences, spanning, verify
+from fractree.params import Family, FractalParams
 from fractree.verify import (
     ALLOWLIST,
     INFORMATIONAL,
@@ -77,21 +79,26 @@ class TestRegistry:
         assert sum(c.level == "quick" for c in checks) == 114
 
     def test_every_build_runs_inside_a_timed_route(self, monkeypatch):
-        builds = []
+        builds = collections.Counter()
         original = construct.build
 
-        def slow_build(*args, **kwargs):
-            builds.append(args)
+        def slow_build(params):
+            builds[params] += 1
             time.sleep(0.01)
-            return original(*args, **kwargs)
+            return original(params)
 
         monkeypatch.setattr(construct, "build", slow_build)
         slow = verify_suite("full")
-        assert builds
-        assert sum(c.seconds_a + c.seconds_b for c in slow.checks) >= 0.01 * len(builds)
+        assert sum(c.seconds_a + c.seconds_b for c in slow.checks) >= 0.01 * builds.total()
         for c in slow.to_json_dict()["checks"]:
             routes = c["method_a"]["seconds"] + c["method_b"]["seconds"]
             assert c["seconds"] == pytest.approx(routes, abs=2e-6)
+        # each graph once per run, beside construct/determinism's own two
+        # builds; a second run builds again, so no memo outlives its run
+        determinism = FractalParams(Family.WHEEL, 4, 2, 1)
+        assert builds.pop(determinism) == 1 + 2 and set(builds.values()) == {1}
+        verify_suite("quick")
+        assert builds[determinism] == 1 + 2 and builds[FractalParams(Family.CYCLE, 3, 2, 2)] == 2
 
 
 class TestSuiteOutcome:
