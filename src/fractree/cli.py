@@ -58,9 +58,16 @@ def _check_wheel_base(params: FractalParams) -> None:
                             f"wheel n = {short_count_str(params.n)} would step its base count to")
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self):
+        """Write the help through :func:`_emit`, as every stdout write: the
+        writer argparse uses drops an ``OSError``."""
+        _emit([self.format_help()], None)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fractree",
         description="Construct self-similar cycle/wheel graphs and verify their invariants.",
     )
@@ -338,11 +345,8 @@ def main(argv=None) -> int:
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
-            # argparse exits 0 once it has printed --help, and 2 for usage errors
-            if exc.code:
-                return EXIT_USAGE
-            _emit([], None)
-            return EXIT_OK
+            # argparse exits 0 once --help is written, and 2 for usage errors
+            return EXIT_USAGE if exc.code else EXIT_OK
         if args.command == "generate":
             return _cmd_generate(args)
         if args.command == "count":

@@ -55,10 +55,12 @@ def base(family: Family, n: int) -> Graph:
         raise BadParameterError(f"base graph needs n >= 3, got {n!r}")
     family = Family(family)
     roles = bytearray([ROLE_CODE[VertexRole.ORIGINAL_BASE]]) * n
-    edges = [(k, (k + 1) % n) for k in range(n)]
+    # one int object per id, as in every built graph
+    rim = list(range(n))
+    edges = list(zip(rim, rim[1:] + rim[:1]))
     if family is Family.WHEEL:
         roles.append(ROLE_CODE[VertexRole.BASE_HUB])
-        edges += [(n, v) for v in range(n)]
+        edges += [(n, v) for v in rim]
     return Graph.from_edges(roles, array("i", [0]) * len(roles), edges)
 
 
@@ -146,9 +148,11 @@ def build(params: FractalParams) -> Graph:
             f"cap is {cap}"
         )
     g = _build_staged(params)
-    seq = size_sequences(params, params.i + 1)
-    assert g.vertex_count == seq.u[params.i + 1]
-    assert g.edge_count == seq.e[params.i + 1]
+    if g.vertex_count != vertices:
+        raise RuntimeError(
+            f"stage {params.i} graph was built with {g.vertex_count} vertices, "
+            f"not the predicted {vertices}"
+        )
     return g
 
 
@@ -158,19 +162,29 @@ _FRESH_HUB = ROLE_CODE[VertexRole.FRESH_HUB]
 
 
 def _build_staged(params: FractalParams) -> Graph:
-    """Every round of ``ept`` then ``glv`` as one pass over the round's edges.
+    """Every round of ``ept`` then ``glv`` as one pass over the old vertices.
 
     An old vertex keeps its id but none of its neighbours: each of its
     edges becomes a path and it hosts a fresh copy.  Walking the edges in
     ascending (u, v) order hands out the interior ids in ascending order,
     so every old vertex's new neighbours come out sorted: first its path
-    ends, then its copy's two rim neighbours (and hub).  New vertices get
-    their sorted neighbour tuples as they are numbered, appended to the
-    one adjacency list.
+    ends, then its copy's two rim neighbours (and hub).  A round's size is
+    known before it starts, so its copies are numbered from the end of its
+    ``edge_count * (m - 1)`` path interiors, and each old vertex's paths
+    and copy are written in place into the adjacency list, grown once per
+    round.
+
+    Each vertex id is one ``int`` object, shared by every tuple that names
+    it.  A new id is made once, as it is numbered, and put into each tuple
+    of its path or copy that names it.  An old id is read back from the
+    tuple of its first new neighbour, the end of the path from its
+    smallest old neighbour: every vertex but 0 was made next to an older
+    one.  No table of ids is kept, because a list of every id would add a
+    pointer per vertex to the build's peak.
 
     A round holds little besides the graph it makes: each old vertex's
-    tuple is dropped as soon as it has been read, and its list of new
-    neighbours becomes its final tuple, in place, as its copy is attached.
+    list of new neighbours becomes its final tuple, in place of its old
+    tuple, as its copy is attached.
     """
     n, m = params.n, params.m
     wheel = params.family is Family.WHEEL
@@ -180,53 +194,67 @@ def _build_staged(params: FractalParams) -> Graph:
     adj = list(g.adjacency)
     edge_count = g.edge_count
     copy_roles = bytes([_FRESH_RIM]) * (n - 1) + (bytes([_FRESH_HUB]) if wheel else b"")
+    size = len(copy_roles)
+    # where an old id sits in the tuple of the path end next to it:
+    # (w, u) when that end is the path's one interior, else (u, p)
+    side = 1 if m == 2 else 0
     for stage in range(1, params.i + 1):
         old = len(adj)
+        nxt = old  # the next path interior
+        cid = old + edge_count * (m - 1)  # the next copy's first id
+        adj += [None] * (cid - old + old * size)
         grown = [[] for _ in range(old)]
-        nxt = old  # the next id, and the length of adj
         for u in range(old):
             nb = adj[u]
-            adj[u] = None
             ends = grown[u]
+            grown[u] = None
+            if ends:
+                u = adj[ends[0]][side]
             for v in nb:
                 if v > u:
-                    # path u - nxt - ... - last - v
-                    last = nxt + m - 2
+                    # the path u - nxt - ... - v
                     ends.append(nxt)
-                    grown[v].append(last)
-                    if nxt == last:
-                        adj.append((u, v))
+                    if m == 2:
+                        adj[nxt] = (u, v)
+                        grown[v].append(nxt)
+                        nxt += 1
                     else:
-                        adj.append((u, nxt + 1))
-                        adj.extend([(w - 1, w + 1) for w in range(nxt + 1, last)])
-                        adj.append((v, last - 1))
-                    nxt = last + 1
-        roles += bytes([_PATH_INTERIOR]) * (nxt - old)
-        for host in range(old):
-            ends = grown[host]
-            grown[host] = None
-            # rim nxt..last in cycle order from the host, then the hub
-            last = nxt + n - 2
+                        last = _write_path(adj, u, nxt, m - 1, v)
+                        grown[v].append(last)
+                        nxt = last + 1
+            # the rim cid.. in cycle order from the host, then the hub
             if wheel:
-                hub = last + 1
-                ends += (nxt, last, hub)
-                adj[host] = tuple(ends)
-                adj.append((host, nxt + 1, hub))
-                adj.extend([(r - 1, r + 1, hub) for r in range(nxt + 1, last)])
-                adj.append((host, last - 1, hub))
-                adj.append((host, *range(nxt, hub)))
-                nxt = hub + 1
+                hub = cid + n - 1
+                rim = (u, *range(cid, hub))
+                ends += (rim[1], rim[-1], hub)
+                adj[cid] = (u, rim[2], hub)
+                for k in range(2, n - 1):
+                    adj[rim[k]] = (rim[k - 1], rim[k + 1], hub)
+                adj[rim[-1]] = (u, rim[-2], hub)
+                adj[hub] = rim
             else:
-                ends += (nxt, last)
-                adj[host] = tuple(ends)
-                adj.append((host, nxt + 1))
-                adj.extend([(r - 1, r + 1) for r in range(nxt + 1, last)])
-                adj.append((host, last - 1))
-                nxt = last + 1
+                ends += (cid, _write_path(adj, u, cid, n - 1, u))
+            adj[u] = tuple(ends)
+            cid += size
+        del grown  # all None by now: not held past the round
+        roles += bytes([_PATH_INTERIOR]) * (nxt - old)
         roles += copy_roles * old
-        births += array("i", [stage]) * (nxt - old)
+        births += array("i", [stage]) * (cid - old)
         edge_count = m * edge_count + old * (2 * n if wheel else n)
     return Graph.from_layout(roles, births, adj, edge_count, params)
+
+
+def _write_path(adj, a, first: int, count: int, b) -> int:
+    """Write the tuples of the path a - first - ... - last - b through
+    ``count`` >= 2 new ids from ``first``, and return ``last``.  a and b
+    are older, so every tuple comes out sorted; each new id is made once
+    and shared by both tuples that name it."""
+    prev, cur = a, first
+    for w in range(first + 1, first + count):
+        adj[cur] = (prev, w)
+        prev, cur = cur, w
+    adj[cur] = (b, prev)
+    return cur
 
 
 @dataclass(frozen=True)

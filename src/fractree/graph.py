@@ -300,10 +300,15 @@ def _block_walk(g: Graph) -> Iterator[tuple]:
     recursion limit.  It keeps a stack of vertices rather than edges: when a child
     v closes a block under its parent u, u is its head and the vertices
     found since v, in discovery order, are its members.  The edge back to a
-    vertex's parent may lower its ``low`` to the parent's discovery time,
-    which changes no ``low[v] >= disc[u]`` test, so it is not skipped.
-    Streaming keeps no list of all blocks: a consumer that drops each
-    block before the next holds only the walk's own lists of n.
+    vertex's parent may lower its low to the parent's discovery time,
+    which changes no ``low(v) >= disc[u]`` test, so it is not skipped.
+
+    ``disc`` is the walk's only list of n.  A vertex's low, its place in
+    ``pending`` and the length of the chain that led to it matter only
+    while it is open, so they sit on the path stack beside it, one entry
+    per open vertex, and go as it closes.  Streaming keeps no list of all
+    blocks: a consumer that drops each block before the next holds little
+    besides ``disc``.
 
     Degree-2 vertices get no frame of their own.  From v, the walk follows
     a chain v - c1 - ... - ck - x of unvisited degree-2 vertices in one
@@ -311,9 +316,9 @@ def _block_walk(g: Graph) -> Iterator[tuple]:
     first x that is visited or not of degree 2.  Both edges of each ci are
     tree edges, so no back edge ends inside a chain:
     - if x is visited it is v or an ancestor of v; x = v closes the chain
-      as a block headed at v, and otherwise disc[x] lowers low[v];
-    - if x is new it becomes v's child, with ``chained[x] = k``.  When x
-      closes, low[x] >= disc[ck] makes a block headed at ck and then one
+      as a block headed at v, and otherwise disc[x] lowers v's low;
+    - if x is new it becomes v's child, with chain length k.  When x
+      closes, low(x) >= disc[ck] makes a block headed at ck and then one
       bridge per chain edge, innermost first; otherwise the chain acts as
       a single tree edge from v to x.
     """
@@ -323,21 +328,22 @@ def _block_walk(g: Graph) -> Iterator[tuple]:
         return
 
     disc = [0] * n  # discovery time from 1; 0 while unvisited
-    low = [0] * n
-    depth = [0] * n  # where a vertex sits in `pending`
-    # chain vertices between a vertex on the path and its parent; a
-    # dict, not a fourth list of n, as it holds only the open vertices
-    chained = {}
     pending = []
-
-    disc[0] = low[0] = 1
-    timer = 2
+    # the open vertices, root first, each with its low, its place in
+    # `pending` and the number of chain vertices just before that place
     path = [0]
     iters = [iter(adj[0])]
+    lows = [1]
+    depths = [0]
+    chains = [0]
+
+    disc[0] = 1
+    timer = 2
     while path:
         v = path[-1]
         for w in iters[-1]:
             if not disc[w]:
+                c = 0
                 if len(adj[w]) == 2:
                     start = len(pending)
                     prev = v
@@ -354,39 +360,42 @@ def _block_walk(g: Graph) -> Iterator[tuple]:
                         if x == v:
                             yield v, pending[start:]
                             del pending[start:]
-                        elif disc[x] < low[v]:
-                            low[v] = disc[x]
+                        elif disc[x] < lows[-1]:
+                            lows[-1] = disc[x]
                         continue
                     w = x
-                    chained[w] = len(pending) - start
-                disc[w] = low[w] = timer
+                    c = len(pending) - start
+                disc[w] = timer
+                lows.append(timer)
                 timer += 1
-                depth[w] = len(pending)
+                depths.append(len(pending))
+                chains.append(c)
                 pending.append(w)
                 path.append(w)
                 iters.append(iter(adj[w]))
                 break
-            if disc[w] < low[v]:
-                low[v] = disc[w]
+            if disc[w] < lows[-1]:
+                lows[-1] = disc[w]
         else:
             path.pop()
             iters.pop()
+            low = lows.pop()
+            k = depths.pop()
+            c = chains.pop()
             if path:
                 u = path[-1]
-                k = depth[v]
-                c = chained.pop(v, 0)
-                if c and low[v] >= disc[v] - 1:
+                if c and low >= disc[v] - 1:
                     # a block headed at ck, then the bridges of u - c1 - ... - ck
                     line = [u, *pending[k - c:k]]
                     yield line[-1], pending[k:]
                     for j in range(c, 0, -1):
                         yield line[j - 1], [line[j]]
                     del pending[k - c:]
-                elif low[v] >= disc[u]:
+                elif low >= disc[u]:
                     yield u, pending[k - c:]
                     del pending[k - c:]
-                elif low[v] < low[u]:
-                    low[u] = low[v]
+                elif low < lows[-1]:
+                    lows[-1] = low
     if timer <= n:
         raise DisconnectedGraphError("block decomposition requires a connected graph")
 

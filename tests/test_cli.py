@@ -142,7 +142,7 @@ class TestGenerate:
 @pytest.mark.parametrize("target", ["closed-pipe", "/dev/full"])
 @pytest.mark.parametrize("argv, unbuffered", [
     ("count cycle 3 2 2", False), ("count cycle 3 2 2", True), ("verify --quick", False),
-    ("verify --quick", True), ("--help", False),  # argparse drops an unbuffered one itself
+    ("verify --quick", True), ("--help", False), ("--help", True),
 ])
 def test_unwritable_stdout_exits_2(target, argv, unbuffered):
     """One error line and exit 2, whether the write fails at once or at the

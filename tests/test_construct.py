@@ -296,6 +296,14 @@ class TestBuild:
                               if isinstance(node, (ast.Import, ast.ImportFrom))]
         assert local == []
 
+    def test_no_assert_in_the_package(self):
+        # `python -O` drops an assert: a check in the package raises instead
+        package = Path(construct.__file__).parent
+        asserts = [(path.name, node.lineno) for path in sorted(package.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text(), filename=path.name))
+                   if isinstance(node, ast.Assert)]
+        assert asserts == []
+
 
 def _composed(p):
     """The reference composition: base, then ept and glv once per stage."""
@@ -336,7 +344,8 @@ class TestOnePassBuild:
 
 
 @pytest.mark.parametrize("p", [FractalParams(Family.CYCLE, 3, 2, 6),
-                               FractalParams(Family.WHEEL, 4, 2, 4)],
+                               FractalParams(Family.WHEEL, 4, 2, 4),
+                               FractalParams(Family.CYCLE, 3, 3, 5)],
                          ids=lambda p: f"{p.family.value}-{p.n}-{p.m}-{p.i}")
 class TestBuildMemory:
     def test_peak_within_the_graph_it_returns(self, p, traced):
@@ -347,10 +356,27 @@ class TestBuildMemory:
         assert peak <= 1.10 * retained
 
     def test_retained_bytes_per_vertex(self, p, traced):
-        # measured 143.2 B per vertex at cycle-3-2-6 and 157.0 at
-        # wheel-4-2-4; the bound is the larger plus 5%
+        # measured 105.9 B per vertex at cycle-3-2-6, 112.2 at wheel-4-2-4
+        # and 104.6 at cycle-3-3-5, against 143.2, 156.9 and 140.8 with an
+        # int object per tuple entry; the bound is the largest plus 5%
         g, retained, _ = traced(build, p)
-        assert retained <= 165 * g.vertex_count
+        assert retained <= 118 * g.vertex_count
+
+
+@pytest.mark.parametrize("p", [FractalParams(Family.CYCLE, 3, 2, 5),
+                               FractalParams(Family.CYCLE, 4, 3, 4),
+                               FractalParams(Family.WHEEL, 4, 2, 4),
+                               FractalParams(Family.WHEEL, 3, 3, 4),
+                               FractalParams(Family.WHEEL, 300, 2, 1)],
+                         ids=lambda p: f"{p.family.value}-{p.n}-{p.m}-{p.i}")
+def test_one_int_object_per_vertex_id(p):
+    # every tuple that names an id holds the same int object; each graph's
+    # last round has old ids past the small-int cache, and so does the
+    # base graph at n = 300
+    first = {}
+    for nb in build(p).adjacency:
+        for v in nb:
+            assert first.setdefault(v, v) is v
 
 
 class TestCensus:

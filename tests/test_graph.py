@@ -263,12 +263,16 @@ class TestBlocks:
         assert sum(len(b.edges) for b in blocks(g)) == g.edge_count
 
 
-@pytest.mark.parametrize("i", [6, 7], ids=lambda i: f"cycle-3-2-{i}")
-def test_shape_walk_peak_within_the_graph(i, traced):
-    # the walk yields each block as it closes and keeps no list of them:
-    # measured 0.47-0.49 of the graph's own bytes, against 0.78-0.80
-    # with every block listed first
-    g, retained, _ = traced(build, FractalParams(Family.CYCLE, 3, 2, i))
+@pytest.mark.parametrize("p", [FractalParams(Family.CYCLE, 3, 2, 6),
+                               FractalParams(Family.CYCLE, 3, 2, 7),
+                               FractalParams(Family.WHEEL, 4, 2, 4)],
+                         ids=lambda p: f"{p.family.value}-{p.n}-{p.m}-{p.i}")
+def test_shape_walk_peak_within_the_graph(p, traced):
+    # the walk yields each block as it closes, keeps no list of them, and
+    # holds state past `disc` only for its open vertices: measured
+    # 0.45-0.46 of the graph's own bytes, against 0.59-0.66 with low and
+    # depth as lists of n
+    g, retained, _ = traced(build, p)
     _, _, peak = traced(block_shapes, g)
     assert peak <= 0.6 * retained
 
