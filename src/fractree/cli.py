@@ -232,6 +232,8 @@ def _cmd_invariants(args) -> int:
         raise _UsageError("--iters applies only to invariants entropy")
     if args.upto is not None and args.which != "sizes":
         raise _UsageError("--upto applies only to invariants sizes")
+    if args.upto is not None and args.upto < 0:
+        raise _UsageError(f"--upto must be an integer >= 0, got {args.upto}")
     lines = []
     if args.which == "entropy":
         params = _resolve_params(args, default_stage=0)

@@ -303,31 +303,45 @@ def _block_walk(g: Graph) -> Iterator[tuple]:
     vertex's parent may lower its low to the parent's discovery time,
     which changes no ``low(v) >= disc[u]`` test, so it is not skipped.
 
-    ``disc`` is the walk's only list of n.  A vertex's low, its place in
-    ``pending`` and the length of the chain that led to it matter only
-    while it is open, so they sit on the path stack beside it, one entry
-    per open vertex, and go as it closes.  Streaming keeps no list of all
-    blocks: a consumer that drops each block before the next holds little
-    besides ``disc``.
+    ``disc`` is the walk's only list of n, and it holds a distinct time
+    only for open vertices.  A frame takes the timer's value as it opens
+    and gives it up once its close tests have read it; chain vertices
+    never hold one.  Both then hold one shared mark, n + 1: one int object
+    however many vertices hold it, and above every time.  Past "visited",
+    a closed or chain vertex's number is read only to lower a low, and a
+    time of its own would not have lowered it either: no back edge ends
+    inside a chain, and a closed vertex next to an open one is its
+    descendant, found after it.  The timer still counts chain vertices, so
+    frame times, the ``timer <= n`` connectivity test and the yielded
+    stream are those of a walk that kept every time.  A vertex's low, its
+    place in ``pending`` and the length of the chain that led to it matter
+    only while it is open, so they sit on the path stack beside it, one
+    entry per open vertex, and go as it closes.  Streaming keeps no list
+    of all blocks: a consumer that drops each block before the next holds
+    little besides ``disc``.
 
     Degree-2 vertices get no frame of their own.  From v, the walk follows
     a chain v - c1 - ... - ck - x of unvisited degree-2 vertices in one
-    loop, numbering c1..ck as a frame-by-frame walk would, and stops at the
-    first x that is visited or not of degree 2.  Both edges of each ci are
-    tree edges, so no back edge ends inside a chain:
+    loop, counting c1..ck on the timer as a frame-by-frame walk would, and
+    stops at the first x that is visited or not of degree 2.  Both edges of
+    each ci are tree edges, so no back edge ends inside a chain:
     - if x is visited it is v or an ancestor of v; x = v closes the chain
       as a block headed at v, and otherwise disc[x] lowers v's low;
     - if x is new it becomes v's child, with chain length k.  When x
-      closes, low(x) >= disc[ck] makes a block headed at ck and then one
+      closes, low(x) >= disc[x] makes a block headed at ck and then one
       bridge per chain edge, innermost first; otherwise the chain acts as
-      a single tree edge from v to x.
+      a single tree edge from v to x.  The test is written against
+      disc[x] because it reads "nothing below x reaches above x": ck's
+      mark does not lower low(x), and ck's time, disc[x] - 1, is no
+      frame's, so ``low(x) >= disc[x] - 1`` would be the same test.
     """
     adj = g._adj
     n = len(adj)
     if n <= 1:
         return
 
-    disc = [0] * n  # discovery time from 1; 0 while unvisited
+    disc = [0] * n  # discovery time from 1 while open; 0 while unvisited
+    mark = n + 1  # every vertex neither open nor unvisited
     pending = []
     # the open vertices, root first, each with its low, its place in
     # `pending` and the number of chain vertices just before that place
@@ -348,7 +362,7 @@ def _block_walk(g: Graph) -> Iterator[tuple]:
                     start = len(pending)
                     prev = v
                     while True:
-                        disc[w] = timer
+                        disc[w] = mark
                         timer += 1
                         pending.append(w)
                         a, b = adj[w]
@@ -384,7 +398,7 @@ def _block_walk(g: Graph) -> Iterator[tuple]:
             c = chains.pop()
             if path:
                 u = path[-1]
-                if c and low >= disc[v] - 1:
+                if c and low >= disc[v]:
                     # a block headed at ck, then the bridges of u - c1 - ... - ck
                     line = [u, *pending[k - c:k]]
                     yield line[-1], pending[k:]
@@ -396,6 +410,7 @@ def _block_walk(g: Graph) -> Iterator[tuple]:
                     del pending[k - c:]
                 elif low < lows[-1]:
                     lows[-1] = low
+            disc[v] = mark
     if timer <= n:
         raise DisconnectedGraphError("block decomposition requires a connected graph")
 

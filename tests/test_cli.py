@@ -364,6 +364,16 @@ class TestInvariants:
         assert len(r.stderr.splitlines()) == 1
         assert r.stdout == ""
 
+    def test_negative_upto_is_refused(self):
+        r = run_cli("invariants", "sizes", "cycle", "3", "2", "--upto", "-5")
+        assert_clean_error(r, 2)
+        assert r.stderr == "error: --upto must be an integer >= 0, got -5\n"
+        assert r.stdout == ""
+        # 0 is allowed, and max(--upto, i + 1) still prints to index 1
+        r = run_cli("invariants", "sizes", "cycle", "3", "2", "--upto", "0")
+        assert r.returncode == 0
+        assert r.stdout.startswith("u: 1, 3\ne: 0, 3\n")
+
     def test_sizes(self):
         r = run_cli("invariants", "sizes", "cycle", "3", "2", "-i", "2", "--upto", "5")
         assert r.returncode == 0
