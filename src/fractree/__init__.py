@@ -16,7 +16,6 @@ from .clustering import (
     average_clustering,
     clustering_closed,
     degree_census_predicted,
-    local_clustering,
 )
 from .construct import (
     CopyCensus,
@@ -47,7 +46,6 @@ from .exact import (
 from .graph import (
     Block,
     Graph,
-    VertexInfo,
     VertexRole,
     blocks,
     degree_histogram,
@@ -55,7 +53,6 @@ from .graph import (
     to_dot,
     to_edgelist_text,
     to_json_dict,
-    to_json_text,
 )
 from .params import Family, FractalParams
 from .sequences import (
@@ -86,10 +83,10 @@ __all__ = [
     "EntropyEstimate", "ept", "FactoredCount",
     "factored_expand", "factored_log", "Family", "fibonacci_number",
     "FractalParams", "FractreeError", "glv", "Graph", "InvalidVertexError",
-    "InvalidVertexSetError", "laplacian_minor", "local_clustering",
-    "lucas_number", "OverflowCapError", "predicted_block_multiset",
-    "QuadraticNumber", "RecurrenceSpec", "SizeCapError", "size_sequences",
-    "SizeSequences", "tau_blocks", "tau_closed", "tau_oracle",
-    "tau_wheel_base", "to_dot", "to_edgelist_text", "to_json_dict", "to_json_text",
-    "unfold_census_block_multiset", "verify_suite", "VertexInfo", "VertexRole",
+    "InvalidVertexSetError", "laplacian_minor", "lucas_number",
+    "OverflowCapError", "predicted_block_multiset", "QuadraticNumber",
+    "RecurrenceSpec", "SizeCapError", "size_sequences", "SizeSequences",
+    "tau_blocks", "tau_closed", "tau_oracle", "tau_wheel_base", "to_dot",
+    "to_edgelist_text", "to_json_dict", "unfold_census_block_multiset",
+    "verify_suite", "VertexRole",
 ]

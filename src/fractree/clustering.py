@@ -17,13 +17,6 @@ from .params import Family, FractalParams
 from .sequences import size_sequences
 
 
-def local_clustering(g: Graph, v: int) -> Fraction:
-    """Fraction of neighbor pairs of v that are adjacent; 0 for degree <= 1."""
-    k = g.degree(v)
-    (links,) = _link_counts(g.adjacency, (v,))
-    return _coefficient(links, k)
-
-
 def _link_counts(adj, vertices):
     """Yield the number of edges among the neighbours of each vertex in turn."""
     for v in vertices:

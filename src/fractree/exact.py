@@ -7,7 +7,7 @@ Square integer matrices are plain lists of row lists.
 Spanning-tree counts of the graph families grow so fast that they are kept
 in factored form (:class:`FactoredCount`) and only expanded on demand,
 guarded by a bit cap; :func:`decimal_str` prints an expanded count of any
-size, and :func:`decimal_int` reads it back.
+size.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ class FactoredCount:
     """A positive integer stored as a product of bases raised to exponents.
 
     Bases are integers >= 2 and need not be prime; exponents are
-    non-negative integers of any size.  Zero exponents are dropped, so the
-    empty product represents 1.  Instances are immutable.
+    non-negative integers of any size.  Both must be plain ``int``s; a
+    ``bool`` is refused, as it is for a vertex id.  Zero exponents are
+    dropped, so the empty product represents 1.  Instances are immutable.
     """
 
     __slots__ = ("_factors",)
@@ -36,9 +37,9 @@ class FactoredCount:
         items = {}
         if factors:
             for base, exp in dict(factors).items():
-                if not isinstance(base, int) or base < 2:
+                if type(base) is not int or base < 2:
                     raise ValueError(f"base must be an integer >= 2, got {base!r}")
-                if not isinstance(exp, int) or exp < 0:
+                if type(exp) is not int or exp < 0:
                     raise ValueError(f"exponent must be a non-negative integer, got {exp!r}")
                 if exp:
                     items[base] = items.get(base, 0) + exp
@@ -58,11 +59,6 @@ class FactoredCount:
         for base, exp in other._factors:
             merged[base] = merged.get(base, 0) + exp
         return FactoredCount(merged)
-
-    def __pow__(self, k: int) -> "FactoredCount":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        return FactoredCount({b: e * k for b, e in self._factors})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FactoredCount):
@@ -96,11 +92,6 @@ class FactoredCount:
         every base it prints within the limit.
         """
         return {"factors": [[b, decimal_str(e)] for b, e in self._factors]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FactoredCount":
-        """The inverse of :meth:`to_json`, for exponent strings of any length."""
-        return cls({int(b): decimal_int(e) for b, e in obj["factors"]})
 
 
 def _coprime_atoms(numbers):
@@ -237,33 +228,6 @@ def decimal_str(value: int) -> str:
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
         return str(convert(value, value.bit_length()))
-
-
-def decimal_int(text: str) -> int:
-    """The integer whose :func:`decimal_str` is ``text``, of any length.
-
-    ``int(str)`` refuses strings over the interpreter's digit limit.  Past
-    it, ``text`` must be ASCII digits after an optional "-".  They are split
-    in halves down to leaves within the limit, which are joined as
-    ``high * 10**w + low`` with each power of ten made once.
-    """
-    limit = sys.get_int_max_str_digits()
-    if not limit or len(text) <= limit:
-        return int(text)
-    sign, digits = (-1, text[1:]) if text[0] == "-" else (1, text)
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: a string of {len(text)} characters")
-    powers = {}
-
-    def convert(s):
-        if len(s) <= limit:
-            return int(s)
-        w = len(s) >> 1
-        if w not in powers:
-            powers[w] = 10**w
-        return convert(s[:-w]) * powers[w] + convert(s[-w:])
-
-    return sign * convert(digits)
 
 
 def _exp_times_log(exp: int, base: int) -> float:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -33,20 +32,12 @@ ROLES = tuple(VertexRole)
 ROLE_CODE = {role: code for code, role in enumerate(ROLES)}
 
 
-@dataclass(frozen=True)
-class VertexInfo:
-    id: int
-    role: VertexRole
-    birth: int
-
-
 class Graph:
     """Simple undirected graph, immutable from the start.
 
     Vertex ids are dense 0..n-1 in creation order.  The layout is compact:
     a ``bytearray`` of role codes (indices into :data:`ROLES`), an
     ``array`` of birth stages, and one sorted neighbour tuple per vertex.
-    :class:`VertexInfo` objects are made only on demand.
 
     There is one way in, validated or trusted: :meth:`from_edges` checks
     an edge list before it builds anything, and :meth:`from_layout` takes
@@ -119,20 +110,9 @@ class Graph:
         return self._edge_count
 
     @property
-    def vertices(self) -> tuple:
-        return tuple(
-            VertexInfo(v, ROLES[code], birth)
-            for v, (code, birth) in enumerate(zip(self._roles, self._births))
-        )
-
-    @property
     def adjacency(self) -> tuple:
         """Every vertex's sorted neighbour tuple, indexed by vertex id."""
         return self._adj
-
-    def info(self, v: int) -> VertexInfo:
-        self._check_vertex(v)
-        return VertexInfo(v, ROLES[self._roles[v]], self._births[v])
 
     def neighbors(self, v: int) -> tuple:
         self._check_vertex(v)
@@ -141,16 +121,6 @@ class Graph:
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return len(self._adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether u and v are adjacent, by bisection in the shorter tuple."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        nb = self._adj[u]
-        if len(self._adj[v]) < len(nb):
-            nb, v = self._adj[v], u
-        pos = bisect_left(nb, v)
-        return pos < len(nb) and nb[pos] == v
 
     def edges(self) -> Iterator[tuple]:
         """All edges as (u, v) with u < v, ascending lexicographic."""
@@ -532,7 +502,8 @@ def to_json_dict(g: Graph) -> dict:
 
 
 def json_chunks(g: Graph) -> Iterator[str]:
-    """:func:`to_json_text` in chunks, for writing as they are made.
+    """``json.dumps(to_json_dict(g), indent=2) + "\\n"`` in chunks, for
+    writing as they are made.
 
     With ``indent`` set, CPython's ``json`` runs its pure-Python encoder,
     so the vertex and edge entries are written here in the same layout.
@@ -554,11 +525,6 @@ def _json_list(items: Iterator[str]) -> Iterable[str]:
     if first is None:
         return ["[]"]
     return chain(["[", first[1:]], items, ["\n  ]"])
-
-
-def to_json_text(g: Graph) -> str:
-    """``json.dumps(to_json_dict(g), indent=2) + "\\n"``, byte for byte."""
-    return "".join(json_chunks(g))
 
 
 _DOT_COLORS = {

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -7,35 +9,65 @@ from fractree.clustering import (
     average_clustering,
     clustering_closed,
     degree_census_predicted,
-    local_clustering,
 )
 from fractree.construct import base, build
-from fractree.graph import VertexRole, degree_histogram, plain_graph
+from fractree.graph import ROLE_CODE, VertexRole, degree_histogram, plain_graph
 from fractree.params import Family, FractalParams
+from fractree.verify import random_connected_graph
+
+
+def local_coefficients(g) -> list:
+    """Every vertex's clustering coefficient, by brute force: the share of
+    its neighbour pairs that an edge joins, 0 below degree 2.
+
+    Each pair is looked up in a set of the graph's edges, so this shares
+    no code with the package's scan.
+    """
+    edges = set(g.edges())  # (u, v) with u < v, as combinations of a sorted tuple
+    out = []
+    for v in range(g.vertex_count):
+        pairs = list(combinations(g.neighbors(v), 2))
+        out.append(Fraction(sum(p in edges for p in pairs), len(pairs)) if pairs else Fraction(0))
+    return out
 
 
 class TestLocal:
+    """The oracle on graphs whose coefficients are known by hand, then the
+    package's histogram against the oracle."""
+
     def test_complete_graph(self):
-        k4 = base(Family.WHEEL, 3)
-        assert all(local_clustering(k4, v) == 1 for v in range(4))
+        assert local_coefficients(base(Family.WHEEL, 3)) == [1] * 4
 
     def test_wheel_rim_and_hub(self):
-        w4 = base(Family.WHEEL, 4)
-        assert local_clustering(w4, 0) == Fraction(2, 3)  # rim
-        assert local_clustering(w4, 4) == Fraction(2, 3)  # hub
+        # every rim vertex and the hub of W_4 have two of three pairs joined
+        assert local_coefficients(base(Family.WHEEL, 4)) == [Fraction(2, 3)] * 5
 
     def test_low_degree_is_zero(self):
-        g = plain_graph(3, [(0, 1), (1, 2)])
-        assert local_clustering(g, 0) == 0  # degree 1
-        assert local_clustering(g, 1) == 0  # degree 2, ends not adjacent
+        # degree 1, then degree 2 with its ends not adjacent
+        assert local_coefficients(plain_graph(3, [(0, 1), (1, 2)]))[:2] == [0, 0]
 
     def test_isolated_vertex(self):
-        assert local_clustering(plain_graph(1, []), 0) == 0
+        assert local_coefficients(plain_graph(1, [])) == [0]
 
     def test_path_interior_in_stage_graph(self):
         g = build(FractalParams(Family.CYCLE, 3, 2, 1))
-        interiors = [v.id for v in g.vertices if v.role is VertexRole.PATH_INTERIOR]
-        assert all(local_clustering(g, v) == 0 for v in interiors)
+        interior = ROLE_CODE[VertexRole.PATH_INTERIOR]
+        coefficients = local_coefficients(g)
+        interiors = [v for v, code in enumerate(g._roles) if code == interior]
+        assert len(interiors) == 3
+        assert all(coefficients[v] == 0 for v in interiors)
+
+    def test_classes_match_the_oracle(self, rng):
+        graphs = [build(FractalParams(family, n, m, i)) for family, n, m, i in [
+            (Family.WHEEL, 3, 2, 1),  # copies of K_4, whose rim neighbours are adjacent
+            (Family.WHEEL, 5, 2, 1),
+            (Family.WHEEL, 4, 3, 2),
+            (Family.CYCLE, 3, 2, 2),
+            (Family.CYCLE, 3, 3, 2),
+        ]]
+        graphs += [random_connected_graph(rng, max_n=30, density=2) for _ in range(20)]
+        for g in graphs:
+            assert average_clustering(g).classes == dict(Counter(local_coefficients(g)))
 
 
 class TestAverage:
@@ -73,10 +105,9 @@ class TestAverage:
 
     def test_iteration_order_does_not_matter(self):
         g = build(FractalParams(Family.WHEEL, 5, 2, 1))
-        forward = sum((local_clustering(g, v) for v in range(g.vertex_count)), Fraction(0))
-        backward = sum(
-            (local_clustering(g, v) for v in reversed(range(g.vertex_count))), Fraction(0)
-        )
+        coefficients = local_coefficients(g)
+        forward = sum(coefficients, Fraction(0))
+        backward = sum(reversed(coefficients), Fraction(0))
         assert forward == backward == average_clustering(g).average * g.vertex_count
 
     def test_report_json(self):
@@ -93,7 +124,8 @@ class TestTriangleFree:
     @pytest.mark.parametrize("i", [0, 1, 2])
     def test_every_vertex_zero(self, n, i):
         g = build(FractalParams(Family.CYCLE, n, 2, i))
-        assert all(local_clustering(g, v) == 0 for v in range(g.vertex_count))
+        classes = average_clustering(g).classes
+        assert classes == dict(Counter(local_coefficients(g))) == {0: g.vertex_count}
 
 
 class TestClosedForms:

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 import sys
@@ -14,7 +13,6 @@ from fractree.exact import (
     DEFAULT_EXPAND_BIT_CAP,
     FactoredCount,
     bareiss_determinant,
-    decimal_int,
     decimal_str,
     factored_expand,
     factored_log,
@@ -87,7 +85,8 @@ class TestDecimalStr:
             sys.set_int_max_str_digits(old)
 
     def test_equals_str_above_the_digit_limit(self):
-        values = [v for bits in (14_500, 40_001, 100_001) for v in _decimal_cases(bits)]
+        # 14,300 bits is 4,305 digits, just past the default limit of 4,300
+        values = [v for bits in (14_300, 14_500, 40_001, 100_001) for v in _decimal_cases(bits)]
         values.append(3**22_720 * 2**6_883)  # the 12,913-digit count of cycle-3-2-7
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
@@ -97,37 +96,6 @@ class TestDecimalStr:
             sys.set_int_max_str_digits(old)
         assert [decimal_str(v) for v in values] == expected
         assert len(decimal_str(3**22_720 * 2**6_883)) == 12_913
-
-
-class TestDecimalInt:
-    @pytest.mark.parametrize("bits", [1, 64, 14_000, 14_300, 14_500, 40_001, 100_001])
-    def test_inverts_decimal_str(self, bits):
-        # 14,300 bits is 4,305 digits, just past the default limit of 4,300
-        for v in _decimal_cases(bits):
-            assert decimal_int(decimal_str(v)) == v
-
-    @pytest.mark.parametrize("digits", [4_300, 4_301, 8_601, 12_913])
-    def test_lengths_around_the_digit_limit(self, digits):
-        nines = decimal_int("9" * digits)
-        assert nines + 1 == 10**digits
-        assert decimal_int("-" + "9" * digits) == -nines
-        assert decimal_int("1" + "0" * (digits - 1)) == 10 ** (digits - 1)
-
-    def test_lowered_digit_limit(self):
-        values = _decimal_cases(1_919) + _decimal_cases(2_125) + _decimal_cases(20_000)
-        texts = [decimal_str(v) for v in values]
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)  # the lowest limit the interpreter accepts
-        try:
-            assert [decimal_int(t) for t in texts] == values
-        finally:
-            sys.set_int_max_str_digits(old)
-
-    @pytest.mark.parametrize("text", ["1_" * 2_200, " " + "1" * 4_400, "+" + "1" * 4_400,
-                                      "1e" + "1" * 4_400, "\uff11" * 4_400, "--" + "1" * 4_400])
-    def test_refuses_what_decimal_str_never_prints(self, text):
-        with pytest.raises(ValueError):
-            decimal_int(text)
 
 
 class TestFactoredLog:
@@ -174,17 +142,14 @@ class TestFactoredCountAlgebra:
         b = FactoredCount({45: 6, 2: 4})
         assert factored_expand(a * b) == factored_expand(a) * factored_expand(b)
 
-    def test_pow(self):
-        assert factored_expand(FactoredCount({6: 2}) ** 3) == 6**6
-
     def test_zero_exponents_dropped(self):
         assert FactoredCount({3: 0, 2: 5}).factors == {2: 5}
 
     def test_bad_base_rejected(self):
-        with pytest.raises(ValueError):
-            FactoredCount({1: 3})
-        with pytest.raises(ValueError):
-            FactoredCount({2: -1})
+        # a bool is refused as a base or an exponent, as it is for a vertex id
+        for factors in ({1: 3}, {2: -1}, {True: 3}, {2: True}, {2: False}):
+            with pytest.raises(ValueError):
+                FactoredCount(factors)
 
     def test_equality_across_presentations(self):
         assert FactoredCount({45: 6, 2: 4}) == FactoredCount({3: 12, 5: 6, 2: 4})
@@ -198,7 +163,7 @@ class TestFactoredCountAlgebra:
         c = FactoredCount({45: 6, 2: 4})
         js = c.to_json()
         assert js == {"factors": [[2, "4"], [45, "6"]]}
-        assert FactoredCount.from_json(js) == c
+        assert FactoredCount({b: int(e) for b, e in js["factors"]}) == c
 
     def test_str(self):
         assert str(FactoredCount({3: 16, 2: 5})) == "2^5*3^16"
@@ -221,14 +186,6 @@ class TestFactoredCountAlgebra:
         huge = FactoredCount({2: 10**5000})
         assert str(huge) == "2^1" + "0" * 5000
         assert huge.to_json() == {"factors": [[2, "1" + "0" * 5000]]}
-
-    @pytest.mark.parametrize("exponent", [10**5000, 10**4300, 10**4301 - 1],
-                             ids=["5001-digits", "4301-digits", "4301-nines"])
-    def test_json_round_trip_past_the_digit_limit(self, exponent):
-        count = FactoredCount({2: exponent, 45: 6})
-        back = FactoredCount.from_json(json.loads(json.dumps(count.to_json())))
-        assert back == count
-        assert back.to_json() == count.to_json()
 
     @given(
         st.dictionaries(st.integers(2, 50), st.integers(0, 12), max_size=4),
