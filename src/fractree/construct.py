@@ -10,13 +10,15 @@ Vertex ids are assigned in a fixed documented order (path interiors in
 ascending edge order, then fresh copies in ascending host order, rim
 before hub) so that repeated builds are byte-identical.
 
-:func:`build` makes each round in one pass straight into the layout that
+:func:`build` makes each round straight into the layout that
 :meth:`Graph.from_layout <fractree.graph.Graph.from_layout>` takes as it
-is.  :func:`base`, :func:`ept` and :func:`glv` instead collect role codes,
-births and edges one edge at a time and hand them to the validating
-:meth:`Graph.from_edges <fractree.graph.Graph.from_edges>`; :func:`ept`
-and :func:`glv` are the reference that the one-pass build must reproduce
-id for id.
+is: one pass over the old vertices writes the paths and the old
+vertices' tuples, then every fresh copy is written one copy position at
+a time.  :func:`base`, :func:`ept` and :func:`glv` instead collect role
+codes, births and edges one edge at a time and hand them to the
+validating :meth:`Graph.from_edges <fractree.graph.Graph.from_edges>`;
+:func:`ept` and :func:`glv` are the reference that :func:`build` must
+reproduce id for id.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from __future__ import annotations
 import os
 from array import array
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 
 from .errors import BadParameterError, InvalidVertexSetError, SizeCapError
 from .exact import short_count_str
@@ -162,29 +166,38 @@ _FRESH_HUB = ROLE_CODE[VertexRole.FRESH_HUB]
 
 
 def _build_staged(params: FractalParams) -> Graph:
-    """Every round of ``ept`` then ``glv`` as one pass over the old vertices.
+    """Every round of ``ept`` then ``glv`` as one pass over the old vertices,
+    then one bulk write per copy position.
 
     An old vertex keeps its id but none of its neighbours: each of its
     edges becomes a path and it hosts a fresh copy.  Walking the edges in
     ascending (u, v) order hands out the interior ids in ascending order,
     so every old vertex's new neighbours come out sorted: first its path
-    ends, then its copy's two rim neighbours (and hub).  A round's size is
+    ends, then its copy's first and last rim (and hub).  A round's size is
     known before it starts, so its copies are numbered from the end of its
-    ``edge_count * (m - 1)`` path interiors, and each old vertex's paths
-    and copy are written in place into the adjacency list, grown once per
-    round.
+    ``edge_count * (m - 1)`` path interiors, ``size`` ids per host in host
+    order, and the adjacency list is grown once per round.
+
+    The pass writes the paths and each old vertex's final tuple, whose
+    last ids are its copy's ends.  Copy position j of every host then sits
+    at ``cid0 + j``, ``cid0 + j + size``, ..., so :func:`_write_copies`
+    writes the copies' tuples one position at a time, each position as
+    one extended-slice assignment over all hosts.
 
     Each vertex id is one ``int`` object, shared by every tuple that names
     it.  A new id is made once, as it is numbered, and put into each tuple
-    of its path or copy that names it.  An old id is read back from the
+    that names it; a copy's ends are made in their host's tuple and read
+    back from it.  An old id with an older neighbour is read back from the
     tuple of its first new neighbour, the end of the path from its
-    smallest old neighbour: every vertex but 0 was made next to an older
-    one.  No table of ids is kept, because a list of every id would add a
-    pointer per vertex to the build's peak.
+    smallest old neighbour; one with none, such as 0, starts every path it
+    ends, so the pass's own int names it.  No table of all ids is kept,
+    because a list of every id would add a pointer per vertex to the
+    build's peak.
 
-    A round holds little besides the graph it makes: each old vertex's
-    list of new neighbours becomes its final tuple, in place of its old
-    tuple, as its copy is attached.
+    A round holds little besides the graph it makes: ``grown[u]``, u's
+    list of new neighbours, becomes u's tuple in place of its old tuple,
+    and the slot then holds u's id, so ``grown`` ends the pass as the
+    list of hosts that the copies read.
     """
     n, m = params.n, params.m
     wheel = params.family is Family.WHEEL
@@ -195,21 +208,22 @@ def _build_staged(params: FractalParams) -> Graph:
     edge_count = g.edge_count
     copy_roles = bytes([_FRESH_RIM]) * (n - 1) + (bytes([_FRESH_HUB]) if wheel else b"")
     size = len(copy_roles)
+    last = n - 2  # the last rim's copy position; the hub's is n - 1
     # where an old id sits in the tuple of the path end next to it:
     # (w, u) when that end is the path's one interior, else (u, p)
     side = 1 if m == 2 else 0
     for stage in range(1, params.i + 1):
         old = len(adj)
         nxt = old  # the next path interior
-        cid = old + edge_count * (m - 1)  # the next copy's first id
+        cid0 = cid = old + edge_count * (m - 1)  # the first copy's first id
         adj += [None] * (cid - old + old * size)
         grown = [[] for _ in range(old)]
         for u in range(old):
             nb = adj[u]
             ends = grown[u]
-            grown[u] = None
             if ends:
                 u = adj[ends[0]][side]
+            grown[u] = u  # the list becomes u's tuple; the slot keeps its id
             for v in nb:
                 if v > u:
                     # the path u - nxt - ... - v
@@ -219,24 +233,14 @@ def _build_staged(params: FractalParams) -> Graph:
                         grown[v].append(nxt)
                         nxt += 1
                     else:
-                        last = _write_path(adj, u, nxt, m - 1, v)
-                        grown[v].append(last)
-                        nxt = last + 1
-            # the rim cid.. in cycle order from the host, then the hub
-            if wheel:
-                hub = cid + n - 1
-                rim = (u, *range(cid, hub))
-                ends += (rim[1], rim[-1], hub)
-                adj[cid] = (u, rim[2], hub)
-                for k in range(2, n - 1):
-                    adj[rim[k]] = (rim[k - 1], rim[k + 1], hub)
-                adj[rim[-1]] = (u, rim[-2], hub)
-                adj[hub] = rim
-            else:
-                ends += (cid, _write_path(adj, u, cid, n - 1, u))
+                        end = _write_path(adj, u, nxt, m - 1, v)
+                        grown[v].append(end)
+                        nxt = end + 1
+            ends += (cid, cid + last, cid + last + 1) if wheel else (cid, cid + last)
             adj[u] = tuple(ends)
             cid += size
-        del grown  # all None by now: not held past the round
+        _write_copies(adj, grown, cid0, size, last, wheel)
+        del grown  # not held while the next round's lists are made
         roles += bytes([_PATH_INTERIOR]) * (nxt - old)
         roles += copy_roles * old
         births += array("i", [stage]) * (cid - old)
@@ -244,11 +248,54 @@ def _build_staged(params: FractalParams) -> Graph:
     return Graph.from_layout(roles, births, adj, edge_count, params)
 
 
+def _write_copies(adj, hosts: list, cid0: int, size: int, last: int, wheel: bool) -> None:
+    """Write the tuples of every host's copy, one copy position at a time.
+
+    ``hosts[k]`` is old vertex k's id.  Its copy holds ids ``cid0 + k *
+    size`` onwards: rim positions 0..``last`` in cycle order from the host,
+    then the hub for wheels.  The end rims and the hub are read back from
+    the hosts' tuples, which end with them; each middle rim position's ids
+    are made once, as a list.  Each rim is joined to the rims (or the
+    host) before and after it, and to the hub; the hub to the host and
+    every rim.  A host is older than its copy, so every tuple comes out
+    sorted, as :func:`glv` would make it.
+    """
+    old = len(hosts)
+    stop = cid0 + old * size
+    middles = [list(range(cid0 + j, stop, size)) for j in range(1, last)]
+
+    def from_end(k: int):
+        """The k-th id from the end of every host's tuple, in host order."""
+        return map(itemgetter(-k), islice(adj, old))
+
+    def rims(j: int):
+        """The ids at rim position j of every copy, in host order."""
+        if j == 0:
+            return from_end(2 + wheel)
+        if j == last:
+            return from_end(1 + wheel)
+        return middles[j - 1]
+
+    for j in range(last + 1):
+        if j == 0:
+            cols = [hosts, rims(1)]
+        elif j == last:
+            cols = [hosts, rims(j - 1)]
+        else:
+            cols = [rims(j - 1), rims(j + 1)]
+        if wheel:
+            cols.append(from_end(1))
+        adj[cid0 + j:stop:size] = zip(*cols)
+    if wheel:
+        adj[cid0 + last + 1:stop:size] = zip(hosts, *map(rims, range(last + 1)))
+
+
 def _write_path(adj, a, first: int, count: int, b) -> int:
     """Write the tuples of the path a - first - ... - last - b through
     ``count`` >= 2 new ids from ``first``, and return ``last``.  a and b
     are older, so every tuple comes out sorted; each new id is made once
-    and shared by both tuples that name it."""
+    and shared by both tuples that name it.  It writes the paths of
+    ``m > 2``; the copies are written by :func:`_write_copies`."""
     prev, cur = a, first
     for w in range(first + 1, first + count):
         adj[cur] = (prev, w)

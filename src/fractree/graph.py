@@ -470,8 +470,11 @@ def _chunked(items: Iterator[str]) -> Iterator[str]:
 
 
 def edgelist_chunks(g: Graph) -> Iterator[str]:
-    """:func:`to_edgelist_text` in chunks, for writing as they are made."""
-    return _chunked(f"{u} {v}\n" for u, v in g.edges())
+    """:func:`to_edgelist_text` in chunks, for writing as they are made.
+
+    It walks the adjacency once, in one generator that yields every line.
+    """
+    return _chunked(f"{u} {v}\n" for u, nb in enumerate(g._adj) for v in nb if v > u)
 
 
 def to_edgelist_text(g: Graph) -> str:
@@ -507,14 +510,17 @@ def json_chunks(g: Graph) -> Iterator[str]:
 
     With ``indent`` set, CPython's ``json`` runs its pure-Python encoder,
     so the vertex and edge entries are written here in the same layout.
+    The edge entries come from one walk over the adjacency, in one
+    generator that yields them all.
     """
     head = json.dumps(_json_header(g), indent=2)[:-2]  # drop the closing "\n}"
     roles = [json.dumps(role.value) for role in ROLES]
     vertices = (
         f',\n    {{\n      "id": {v},\n      "role": {roles[code]},\n      "birth": {birth}\n    }}'
-        for v, (code, birth) in enumerate(zip(g._roles, g._births))
+        for v, code, birth in zip(range(len(g._adj)), g._roles, g._births)
     )
-    edges = (f",\n    [\n      {u},\n      {v}\n    ]" for u, v in g.edges())
+    edges = (f",\n    [\n      {u},\n      {v}\n    ]"
+             for u, nb in enumerate(g._adj) for v in nb if v > u)
     return _chunked(chain([head, ',\n  "vertices": '], _json_list(vertices),
                           [',\n  "edges": '], _json_list(edges), ["\n}\n"]))
 
@@ -537,13 +543,17 @@ _DOT_COLORS = {
 
 
 def dot_chunks(g: Graph) -> Iterator[str]:
-    """:func:`to_dot` in chunks, for writing as they are made."""
+    """:func:`to_dot` in chunks, for writing as they are made.
+
+    The edge lines come from one walk over the adjacency, in one
+    generator that yields them all.
+    """
     colors = [_DOT_COLORS[role] for role in ROLES]
     vertices = (
         f'  {v} [color={colors[code]}, label="{v}", birth={birth}];\n'
-        for v, (code, birth) in enumerate(zip(g._roles, g._births))
+        for v, code, birth in zip(range(len(g._adj)), g._roles, g._births)
     )
-    edges = (f"  {u} -- {v};\n" for u, v in g.edges())
+    edges = (f"  {u} -- {v};\n" for u, nb in enumerate(g._adj) for v in nb if v > u)
     return _chunked(chain(["graph G {\n"], vertices, edges, ["}\n"]))
 
 

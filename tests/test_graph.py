@@ -475,6 +475,31 @@ def test_block_walk_stream_is_pinned(make, digest):
     assert _stream_digest(make()) == digest
 
 
+@pytest.mark.parametrize("make,digests", [
+    (lambda: build(FractalParams(Family.CYCLE, 3, 2, 4)),
+     ["9199c1f47757aa4c2f4641e95652f1074c7a86ba1a2b990f5109e21cd2bd0168",
+      "3a11889aa4105f9ba93c5b33a6918237546fb860297732895d6d0cf11ea157a1",
+      "4833b57fcdf142bd61fce482c4ccc2e514c5c6b29816a1ccabfa673124a3068f"]),
+    (lambda: build(FractalParams(Family.WHEEL, 4, 2, 3)),
+     ["27af5fe038f165b1aa89ffe01cbb47e14d323a953ce987343ef6b5110452ab2d",
+      "dcfbb7a32df5fdcc0a4b77a2e32faa51e4e67e8632c0802af3978281b8536f37",
+      "b35ef1ede88d9948e9b16a46e975e528152d7382f5f3d8238b63a4883f5a850e"]),
+    (lambda: build(FractalParams(Family.CYCLE, 5, 3, 2)),
+     ["74dcd7e91775d604c159cd15cb13cf0424290c141a5d45e2052641fd3b601f48",
+      "f0a7c2062cb32a1d3bfeeca5aadb712ec66124c2d22e9899b851d1e6dc6f87d4",
+      "8ced6783f9674d67408567b674e72a6ee44360a0e4011201b7082d651d8a42fa"]),
+    (lambda: plain_graph(5, _TWO_TRIANGLES),
+     ["638af6438b2f3243575731233efebb37b2b3d315fa6c6a2316507debb0042636",
+      "c85b11453d5669c4e5a17173db9d0c078372f94c3f549456ef156e7d8b50bfcc",
+      "ee54c477bb5a3f6eef9d32e5003ffedb367aeb8efa65e86e92e96e8f44c0aed7"]),
+], ids=["cycle-3-2-4", "wheel-4-2-3", "cycle-5-3-2", "two-triangles"])
+def test_export_bytes_are_pinned(make, digests):
+    # sha256 of each export's joined chunks: edge list, JSON, DOT
+    g = make()
+    assert [hashlib.sha256("".join(chunks(g)).encode()).hexdigest()
+            for chunks in (edgelist_chunks, json_chunks, dot_chunks)] == digests
+
+
 class TestSerialization:
     def test_edgelist_format(self):
         text = to_edgelist_text(base(Family.CYCLE, 3))
