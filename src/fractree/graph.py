@@ -12,6 +12,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
 
@@ -196,16 +197,19 @@ def blocks(g: Graph) -> list:
     """Biconnected components of a connected graph, classified.
 
     Every edge lands in exactly one block; blocks are returned sorted by
-    their smallest edge for determinism.
+    their smallest edge for determinism.  Blocks with one
+    :func:`block_shapes` key are classified once.
     """
     out = []
+    classify = cache(_classify_block)
     for head, members in _block_walk(g):
         ids = [head, *members]
+        pairs = tuple(_block_edges(g._adj, head, members))
         edges = tuple(sorted((ids[a], ids[b]) if ids[a] < ids[b] else (ids[b], ids[a])
-                             for a, b in _block_edges(g._adj, head, members)))
+                             for a, b in pairs))
         # a block with as many edges as vertices is a cycle, as in block_census
         out.append(Block(tuple(sorted(ids)), edges, ("cycle", len(ids))
-                         if len(edges) == len(ids) else _classify_block(edges)))
+                         if len(edges) == len(ids) else classify(pairs)))
     return sorted(out, key=lambda b: b.edges[0])
 
 
@@ -385,6 +389,49 @@ def _block_walk(g: Graph) -> Iterator[tuple]:
         raise DisconnectedGraphError("block decomposition requires a connected graph")
 
 
+def edge_adjacency(edges) -> dict:
+    """Each endpoint of ``edges`` mapped to the list of its neighbours, in
+    edge order."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
+
+
+def chains(adj, ends) -> Iterator[tuple]:
+    """Yield ``(x, y, inner)`` once for each maximal chain x - c1 - ... - ck - y.
+
+    ``adj`` maps each vertex to its neighbours, and ``ends`` is a
+    collection of distinct vertices that holds every vertex whose degree is
+    not 2; it may hold vertices of degree 2 too.  x and y are ends, and the inner vertices
+    ``[c1, ..., ck]`` have degree 2 and are not ends.  An edge between two
+    ends is a chain with no inner vertex, and a chain from x back to x has
+    y = x.  A cycle of degree-2 vertices that no end reaches yields nothing.
+
+    Chains come from the ends in the order of ``ends``, each from the
+    first of its ends and that end's first edge into it, in adjacency
+    order.  Only the ends and each chain's last vertex are remembered: a
+    chain can be entered again only through its other end's edge, which
+    leads to that vertex first.
+    """
+    stops = set(ends)
+    done = set()
+    for x in ends:
+        done.add(x)
+        for w in adj[x]:
+            if w in done:
+                continue
+            inner = []
+            prev = x
+            while w not in stops:
+                inner.append(w)
+                a, b = adj[w]
+                prev, w = w, (b if a == prev else a)
+            done.add(prev)
+            yield x, w, inner
+
+
 def _block_edges(adj, head, members) -> list:
     """A block's edges as label pairs (a, b), a < b, with the head labelled
     0 and the members 1, 2, ... in order: for each member b, its
@@ -403,12 +450,14 @@ def _classify_block(edges) -> tuple:
     cycle when it has as many edges as vertices, and :func:`block_census`
     passes only the keys :func:`block_shapes` did not find to be cycles.
     Such a block is a bridge or has k >= 2 branch vertices (degree >= 3)
-    joined by chains of degree-2 vertices.  Contracting every chain to one
+    joined by chains of degree-2 vertices, which :func:`chains` yields
+    with the branch vertices as ends.  Contracting every chain to one
     edge keeps the block 2-connected (Whitney, 1932), so no chain returns
     to its own start.  The block is a subdivided wheel exactly when every
-    chain has the same length p, no two chains join the same pair of
-    branch vertices, k >= 4 and the contracted degrees, sorted, are
-    ``[3] * (k - 1) + [k - 1]``; it is then ``("wheel", k - 1, p)``:
+    chain has the same length p, no chain is a loop and no two join the
+    same pair of branch vertices, k >= 4 and the contracted degrees,
+    sorted, are ``[3] * (k - 1) + [k - 1]``; it is then
+    ``("wheel", k - 1, p)``:
 
     - in a simple graph on k vertices, a vertex of degree k - 1 (the hub)
       is adjacent to all the others;
@@ -417,32 +466,20 @@ def _classify_block(edges) -> tuple:
     - a rim of two or more cycles would make the hub a cut vertex of the
       2-connected contraction, so the rim is one cycle;
     - for k = 4 every degree is 3, which gives K_4 = W_3.
+
+    With no loop and no pair twice, each chain at a branch vertex leaves
+    by its own edge for another branch vertex, so a branch vertex's
+    contracted degree is its degree.
     """
-    adj = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+    adj = edge_adjacency(edges)
     branch = [v for v, nb in adj.items() if len(nb) >= 3]
-    if not branch:
-        return ("other",)  # a bridge
-    # walk every chain from each of its ends to the branch vertex it reaches
-    lengths = set()
-    degrees = []
-    for b in branch:
-        ends = set()
-        for w in adj[b]:
-            length, prev, cur = 1, b, w
-            while len(adj[cur]) == 2:
-                x, y = adj[cur]
-                prev, cur = cur, y if x == prev else x
-                length += 1
-            ends.add(cur)
-            lengths.add(length)
-        if len(ends) < len(adj[b]):
-            return ("other",)  # parallel chains: the contraction is not simple
-        degrees.append(len(ends))
+    found = [((x, y) if x < y else (y, x), len(inner) + 1) for x, y, inner in chains(adj, branch)]
+    pairs = {pair for pair, _ in found if pair[0] != pair[1]}  # a loop counts as a repeat
+    lengths = {length for _, length in found}
+    degrees = sorted(len(adj[v]) for v in branch)
     k = len(branch)
-    if len(lengths) == 1 and k >= 4 and sorted(degrees) == [3] * (k - 1) + [k - 1]:
+    if (len(pairs) == len(found) and len(lengths) == 1 and k >= 4
+            and degrees == [3] * (k - 1) + [k - 1]):
         return ("wheel", k - 1, lengths.pop())
     return ("other",)
 

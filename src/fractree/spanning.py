@@ -12,9 +12,10 @@ construction is off, determinant wrong means the arithmetic is off.
 
 Both graph routes take the determinant by sparse exact elimination of the
 reduced Laplacian straight from adjacency lists.  Most vertices of these
-graphs are path interiors of degree 2: each maximal chain of them is
-eliminated in closed form, as one edge of conductance 1/(k+1) and a factor
-k+1, and the vertices of other degrees that remain are eliminated in greedy
+graphs are path interiors of degree 2: each maximal chain of them, as
+:func:`~fractree.graph.chains` walks it, is eliminated in closed form, as
+one edge of conductance 1/(k+1) and a factor k+1, and the vertices of
+other degrees that remain are eliminated in greedy
 minimum-degree order, which keeps fill near zero on these planar graphs.
 Entries are reduced integer (numerator, denominator) pairs, not
 ``Fraction`` objects.  The block product eliminates each distinct shape of
@@ -32,7 +33,7 @@ from math import gcd
 
 from .errors import DisconnectedGraphError, SizeCapError
 from .exact import FactoredCount, short_count_str
-from .graph import Graph, block_shapes, shape_edges
+from .graph import Graph, block_shapes, chains, edge_adjacency, shape_edges
 from .params import FractalParams
 from .sequences import _exponent_sums_of, _recurrence_coefficients, _tau_terms
 
@@ -73,7 +74,10 @@ def _reduced_laplacian_determinant(adj) -> int:
 
     ``adj`` maps each vertex to its neighbours.  Every maximal chain
     x - c1 - ... - ck - y of degree-2 vertices, with x and y of another
-    degree or the dropped vertex, is eliminated first, in closed form.  The
+    degree or the dropped vertex, is eliminated first, in closed form, in
+    the order :func:`~fractree.graph.chains` yields them with the dropped
+    vertex as the first end.  Edges between two such ends (k = 0) are
+    entered in the rows as they are built, as integers.  The
     pivots of c1..ck are 2, 3/2, ..., (k+1)/k, so the chain contributes the
     factor k+1, and eliminating it leaves one edge x - y of conductance
     1/(k+1): resistances in series add.  Parallel chains and edges between
@@ -102,32 +106,24 @@ def _reduced_laplacian_determinant(adj) -> int:
     for v, nbrs in adj.items():
         if v != dropped and len(nbrs) != 2:
             ends = [w for w in nbrs if w == dropped or len(adj[w]) != 2]
-            row = dict.fromkeys((w for w in ends if w != dropped), (-1, 1))
+            rows[v] = row = dict.fromkeys((w for w in ends if w != dropped), (-1, 1))
             row[v] = (len(ends), 1)
-            rows[v] = row
-    # walk each chain from the first of its ends reached; a chain from x
-    # back to x is found from x's first edge into it
     factor = 1
-    inner = set()
-    for x in (dropped, *rows):
-        for w in adj[x]:
-            if w == dropped or len(adj[w]) != 2 or w in inner:
-                continue
-            k, prev = 0, x
-            while w != dropped and len(adj[w]) == 2:
-                inner.add(w)
-                k += 1
-                a, b = adj[w]
-                prev, w = w, (b if a == prev else a)
-            factor *= k + 1
-            if w != x:
-                for u, z in ((x, w), (w, x)):
-                    row = rows.get(u)
-                    if row is not None:
-                        _add_pair(row, u, 1, k + 1)
-                        if z != dropped:
-                            _add_pair(row, z, -1, k + 1)
-    if 1 + len(inner) + len(rows) != len(adj):
+    reached = 1 + len(rows)
+    for x, y, inner in chains(adj, (dropped, *rows)):
+        if not inner:
+            continue  # the rows hold the edges between two ends already
+        length = len(inner) + 1
+        factor *= length
+        reached += len(inner)
+        if x != y:
+            for u, z in ((x, y), (y, x)):
+                row = rows.get(u)
+                if row is not None:
+                    _add_pair(row, u, 1, length)
+                    if z != dropped:
+                        _add_pair(row, z, -1, length)
+    if reached != len(adj):
         raise ArithmeticError("a cycle component misses the dropped vertex: the minor is singular")
     heap = [(len(row), v) for v, row in rows.items()]
     heapify(heap)
@@ -202,9 +198,5 @@ def tau_blocks(g: Graph) -> int:
     """
     result = 1
     for key, count in block_shapes(g).items():
-        adj = {}
-        for u, v in shape_edges(key):
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        result *= _reduced_laplacian_determinant(adj) ** count
+        result *= _reduced_laplacian_determinant(edge_adjacency(shape_edges(key))) ** count
     return result

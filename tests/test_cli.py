@@ -428,6 +428,11 @@ class TestSurface:
         assert run_cli("surface", "cycle", "3..4", "2..100").returncode == 2
         assert run_cli("surface", "cycle", "x", "2..3").returncode == 2
 
+    def test_missing_range_exits_2(self):
+        r = run_cli("surface", "cycle", "3..4")
+        assert_clean_error(r, 2)
+        assert "surface needs FAMILY, NRANGE and MRANGE" in r.stderr
+
     def test_deterministic(self):
         a = run_cli("surface", "cycle", "3..4", "2..3")
         b = run_cli("surface", "cycle", "3..4", "2..3")

@@ -124,6 +124,10 @@ class TestEpt:
 
 
 class TestGlv:
+    def test_bad_n(self):
+        with pytest.raises(BadParameterError):
+            glv(base(Family.CYCLE, 3), Family.CYCLE, 2, [0])
+
     def test_figure_growth(self):
         # each host is identified with one vertex of its fresh copy, so an
         # attachment adds n-1 vertices and n edges
@@ -196,6 +200,12 @@ class TestBuild:
     def test_published_sizes(self, family, n, m, i, nv, ne):
         g = build(FractalParams(family, n, m, i))
         assert (g.vertex_count, g.edge_count) == (nv, ne)
+
+    def test_wrong_size_raises(self, monkeypatch):
+        # the build checks its graph against the predicted vertex count
+        monkeypatch.setattr(construct, "_build_staged", lambda p: base(p.family, p.n))
+        with pytest.raises(RuntimeError, match="not the predicted 12"):
+            build(FractalParams(Family.CYCLE, 3, 2, 1))
 
     def test_sizes_match_sequences_grid(self):
         for family in Family:
@@ -303,6 +313,32 @@ class TestBuild:
                    for node in ast.walk(ast.parse(path.read_text(), filename=path.name))
                    if isinstance(node, ast.Assert)]
         assert asserts == []
+
+    def test_one_chain_walker_and_one_adjacency_builder(self):
+        # a step along a degree-2 chain unpacks an adjacency entry
+        # (`a, b = adj[w]`): only graph.chains and the block walk take one;
+        # and only graph.edge_adjacency makes neighbour lists from an edge
+        # list (`adj.setdefault(u, []).append(v)`)
+        package = Path(construct.__file__).parent
+        steps, builders = set(), set()
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=path.name)
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript)
+                            and isinstance(node.targets[0], ast.Tuple)
+                            and len(node.targets[0].elts) == 2):
+                        steps.add(f"{path.stem}.{fn.name}")
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "append"
+                            and isinstance(node.func.value, ast.Call)
+                            and isinstance(node.func.value.func, ast.Attribute)
+                            and node.func.value.func.attr == "setdefault"):
+                        builders.add(f"{path.stem}.{fn.name}")
+        assert sorted(steps) == ["graph._block_walk", "graph.chains"]
+        assert sorted(builders) == ["graph.edge_adjacency"]
 
     def test_every_name_is_used(self):
         # the package keeps only what it runs: each top-level function and

@@ -6,6 +6,8 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractree import graph
 from fractree.construct import base, build, ept
@@ -18,8 +20,10 @@ from fractree.graph import (
     block_census,
     block_shapes,
     blocks,
+    chains,
     degree_histogram,
     dot_chunks,
+    edge_adjacency,
     edgelist_chunks,
     json_chunks,
     laplacian_minor,
@@ -29,7 +33,7 @@ from fractree.graph import (
     to_json_dict,
 )
 from fractree.params import Family, FractalParams
-from fractree.spanning import tau_blocks, tau_oracle
+from fractree.spanning import _reduced_laplacian_determinant, tau_blocks, tau_oracle
 from fractree.verify import random_connected_graph
 
 
@@ -217,6 +221,14 @@ class TestBlocks:
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 0), (4, 1), (4, 2), (4, 3)]
         assert _signatures(_subdivided(edges, 2)) == [("other",)]
 
+    def test_loop_chain_is_other(self):
+        # K_4 on 0, 2, 3, 4 with a pendant chain 0 - 1 that closes a loop
+        # chain at 1: the degrees are a 4-wheel's and no pair repeats, so
+        # only the loop tells it apart (no block has a loop; the classifier
+        # is called directly)
+        g = _subdivided([*combinations((0, 2, 3, 4), 2), (0, 1), (1, 1)], 3)
+        assert graph._classify_block(list(g.edges())) == ("other",)
+
     def test_stage_one_composition(self):
         g = build(FractalParams(Family.CYCLE, 3, 2, 1))
         assert sorted(b.signature for b in blocks(g)) == [
@@ -247,6 +259,66 @@ class TestBlocks:
         assert sum(hist.values()) == g.vertex_count == 4053
         assert sum(d * c for d, c in hist.items()) == 2 * g.edge_count
         assert sum(len(b.edges) for b in blocks(g)) == g.edge_count
+
+
+class TestChains:
+    def test_edge_adjacency(self):
+        assert edge_adjacency([(0, 1), (2, 1), (1, 3)]) == {0: [1], 1: [0, 2, 3], 2: [1], 3: [1]}
+        assert edge_adjacency([]) == {}
+
+    def test_cycle_with_one_end(self):
+        adj = edge_adjacency([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+        assert list(chains(adj, [0, 4])) == [(0, 0, [1, 2, 3]), (0, 4, [])]
+
+    def test_path_between_two_ends(self):
+        adj = edge_adjacency([(0, 1), (1, 2), (2, 3)])
+        assert list(chains(adj, [3, 0])) == [(3, 0, [2, 1])]
+
+    def test_edge_between_ends_once(self):
+        adj = edge_adjacency(combinations(range(4), 2))
+        out = list(chains(adj, range(4)))
+        assert out == [(x, y, []) for x, y in combinations(range(4), 2)]
+
+    def test_three_parallel_chains(self):
+        edges = [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 7), (7, 1)]
+        assert list(chains(edge_adjacency(edges), [0, 1])) == [
+            (0, 1, [2]), (0, 1, [3, 4]), (0, 1, [5, 6, 7])]
+
+    def test_bare_cycle_component(self):
+        adj = {0: [1], 1: [0], 2: [3, 4], 3: [2, 4], 4: [2, 3]}
+        assert list(chains(adj, [0, 1])) == [(0, 1, [])]
+        # the kernel's dropped vertex, 0, never reaches the cycle
+        with pytest.raises(ArithmeticError):
+            _reduced_laplacian_determinant(adj)
+
+    def test_degree_two_end(self):
+        # a degree-2 vertex listed as an end, as the kernel lists the
+        # dropped vertex: it splits its chain, or closes a cycle on itself
+        path = edge_adjacency([(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert list(chains(path, [0, 2, 4])) == [(0, 2, [1]), (2, 4, [3])]
+        cycle = edge_adjacency([(k, (k + 1) % 5) for k in range(5)])
+        assert list(chains(cycle, [2])) == [(2, 2, [1, 0, 4, 3])]
+
+    @given(st.integers(0, 2**32), st.integers(2, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_chains_cover_a_subdivided_graph(self, seed, m):
+        rng = random.Random(seed)
+        g = ept(random_connected_graph(rng, max_n=rng.randint(2, 12), density=rng.randint(1, 2)), m)
+        adj = dict(enumerate(g.adjacency))
+        ends = [0] + [v for v in adj if v and len(adj[v]) != 2]
+        out = list(chains(adj, ends))
+        walked = Counter()
+        for x, y, inner in out:
+            line = [x, *inner, y]
+            walked.update(frozenset(e) for e in zip(line, line[1:]))
+            assert all(len(adj[v]) == 2 and v not in ends for v in inner)
+            assert all(b in adj[a] for a, b in zip(line, line[1:]))
+        # the inner lists partition the degree-2 non-ends, and each edge
+        # lies on exactly one chain
+        assert sorted(v for *_, inner in out for v in inner) == [
+            v for v in adj if len(adj[v]) == 2 and v not in ends]
+        assert sum(len(inner) + 1 for *_, inner in out) == g.edge_count
+        assert walked == Counter(map(frozenset, g.edges()))
 
 
 @pytest.mark.parametrize("p", [FractalParams(Family.CYCLE, 3, 2, 6),

@@ -12,7 +12,7 @@ from fractree import spanning, verify
 from fractree.construct import base, build, ept, glv
 from fractree.errors import BadParameterError, DisconnectedGraphError, SizeCapError
 from fractree.exact import FactoredCount, bareiss_determinant, factored_expand
-from fractree.graph import Graph, blocks, laplacian_minor, plain_graph
+from fractree.graph import Graph, blocks, edge_adjacency, laplacian_minor, plain_graph
 from fractree.params import Family, FractalParams
 from fractree.sequences import fibonacci_number, lucas_number, tau_wheel_base
 from fractree.spanning import (
@@ -31,6 +31,11 @@ class TestLucasFibonacci:
 
     def test_fibonacci_seeds(self):
         assert [fibonacci_number(k) for k in range(1, 9)] == [1, 1, 2, 3, 5, 8, 13, 21]
+
+    def test_negative_index(self):
+        for number in (lucas_number, fibonacci_number):
+            with pytest.raises(BadParameterError):
+                number(-1)
 
     def test_wheel_base_counts(self):
         assert tau_wheel_base(3) == 16
@@ -242,11 +247,7 @@ def _plain_block_product(g: Graph) -> int:
     """One kernel call per block, with no shape memo."""
     result = 1
     for block in blocks(g):
-        adj = {}
-        for u, v in block.edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        result *= _reduced_laplacian_determinant(adj)
+        result *= _reduced_laplacian_determinant(edge_adjacency(block.edges))
     return result
 
 

@@ -46,6 +46,11 @@ def test_report_pinned(level, count, digest):
     assert _report_digest(verify_suite(level)) == (count, digest)
 
 
+def test_unknown_level_raises():
+    with pytest.raises(ValueError, match="unknown level 'fast'"):
+        verify_suite("fast")
+
+
 def test_random_connected_graph_pinned():
     # the draws' edge lists, pinned: a change in the order the generator
     # uses its RNG shows here, not only through the report digest
@@ -182,6 +187,12 @@ class TestAllowlistMechanics:
         result = _run("spanning/central-prose-step/wheel-4-2", 721, 16)
         assert result.verdict == MISMATCH
         assert DiscrepancyReport("quick", [result]).exit_code == 1
+
+    def test_structural_difference(self):
+        # values with no subtraction, such as tuples, report no numeric difference
+        result = _run("construct/some-pair", (1, 2), (1, 3))
+        assert result.verdict == MISMATCH
+        assert result.difference == "(structural)"
 
     def test_unlisted_id_stays_red(self):
         assert _run("spanning/some-new-check", 1, 2).verdict == MISMATCH
