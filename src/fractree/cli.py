@@ -129,11 +129,18 @@ def _parse_family(name: str) -> Family:
         raise _UsageError(f"unknown family {name!r}") from None
 
 
+def _either(option, positional, name: str):
+    """The value given as an option or positionally; two different values are refused."""
+    if positional is not None and option not in (None, positional):
+        raise _UsageError(f"{name} given twice: {positional} and {option}")
+    return positional if option is None else option
+
+
 def _resolve_params(args, default_stage=None) -> FractalParams:
-    family = args.family or args.family_pos
-    n = args.n if args.n is not None else args.n_pos
-    m = args.m if args.m is not None else args.m_pos
-    i = args.i if args.i is not None else args.i_pos
+    family = _either(args.family, args.family_pos, "family")
+    n = _either(args.n, args.n_pos, "n")
+    m = _either(args.m, args.m_pos, "m")
+    i = _either(args.i, args.i_pos, "stage")
     if family is None or n is None or m is None:
         raise _UsageError("family, n and m are required (positional or --family/--n/--m)")
     if i is None:
@@ -226,7 +233,7 @@ def _fmt10(x) -> str:
 
 def _cmd_invariants(args) -> int:
     # entropy is a limit over all stages, so it takes none but the default 0
-    if args.which == "entropy" and (args.i or args.i_pos):
+    if args.which == "entropy" and _either(args.i, args.i_pos, "stage"):
         raise _UsageError("invariants entropy is a limit over all stages and takes no stage")
     if args.iters is not None and args.which != "entropy":
         raise _UsageError("--iters applies only to invariants entropy")
@@ -316,9 +323,9 @@ def _parse_range(text, lo, hi, what) -> range:
 
 
 def _cmd_surface(args) -> int:
-    family = args.family or args.family_pos
-    n_text = args.n_range or args.n_range_pos
-    m_text = args.m_range or args.m_range_pos
+    family = _either(args.family, args.family_pos, "family")
+    n_text = _either(args.n_range, args.n_range_pos, "n range")
+    m_text = _either(args.m_range, args.m_range_pos, "m range")
     if family is None or n_text is None or m_text is None:
         raise _UsageError("surface needs FAMILY, NRANGE and MRANGE")
     family = _parse_family(family)

@@ -23,7 +23,8 @@ DEFAULT_EXPAND_BIT_CAP = 1 << 24
 
 
 class FactoredCount:
-    """A positive integer stored as a product of bases raised to exponents.
+    """A positive integer stored as a product of bases raised to exponents,
+    given as a mapping or as (base, exponent) pairs, whose repeats merge.
 
     Bases are integers >= 2 and need not be prime; exponents are
     non-negative integers of any size.  Both must be plain ``int``s; a
@@ -36,7 +37,7 @@ class FactoredCount:
     def __init__(self, factors=None):
         items = {}
         if factors:
-            for base, exp in dict(factors).items():
+            for base, exp in factors.items() if hasattr(factors, "items") else factors:
                 if type(base) is not int or base < 2:
                     raise ValueError(f"base must be an integer >= 2, got {base!r}")
                 if type(exp) is not int or exp < 0:

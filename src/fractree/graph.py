@@ -130,23 +130,6 @@ class Graph:
                 if v > u:
                     yield (u, v)
 
-    def is_connected(self) -> bool:
-        n = len(self._adj)
-        if n <= 1:
-            return True
-        seen = bytearray(n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    stack.append(v)
-        return count == n
-
     def _check_vertex(self, v: int) -> None:
         if type(v) is not int or not 0 <= v < len(self._adj):
             raise InvalidVertexError(f"vertex {v!r} not in graph")

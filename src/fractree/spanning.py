@@ -24,6 +24,10 @@ documented.  The dense fraction-free route
 (:func:`~fractree.exact.bareiss_determinant` of
 :func:`~fractree.graph.laplacian_minor`) stays as the reference it is
 checked against.
+
+The kernel is also the connectivity test: a disconnected graph's reduced
+Laplacian is singular, and its elimination raises
+:class:`DisconnectedGraphError`.
 """
 
 from __future__ import annotations
@@ -69,8 +73,8 @@ def _add_pair(row: dict, key, n: int, d: int) -> None:
 
 
 def _reduced_laplacian_determinant(adj) -> int:
-    """Determinant of the Laplacian of a connected simple graph with the
-    row and column of its first vertex removed.
+    """Determinant of the Laplacian of a simple graph with the row and
+    column of its first vertex removed.
 
     ``adj`` maps each vertex to its neighbours.  Every maximal chain
     x - c1 - ... - ck - y of degree-2 vertices, with x and y of another
@@ -86,8 +90,8 @@ def _reduced_laplacian_determinant(adj) -> int:
     diagonal and -c off it fall on the same entry), so such a chain
     contributes its factor alone.  A degree-2 vertex that no chain reaches
     lies on a cycle that is a whole component away from the dropped vertex:
-    the minor is singular, and :class:`ArithmeticError` is raised, as for a
-    zero pivot.
+    the minor is singular, and :class:`DisconnectedGraphError` is raised, as
+    for a zero pivot.
 
     The reduced Laplacian on the remaining vertices is kept as dict rows
     and eliminated one vertex at a time, always the one with the fewest
@@ -97,7 +101,10 @@ def _reduced_laplacian_determinant(adj) -> int:
     ``(numerator, denominator)`` pair of ints with a positive denominator,
     updated with ``math.gcd``.  The determinant is the chain factors times
     the product of the pivot numerators over the product of the pivot
-    denominators, which must divide exactly.
+    denominators, which must divide exactly.  The matrix is positive
+    semidefinite, so its exact elimination meets a zero pivot, the sign of
+    a disconnected graph, before any negative one; a negative pivot or a
+    fractional product is a fault of this kernel: :class:`ArithmeticError`.
     """
     if not adj:
         return 1
@@ -124,7 +131,7 @@ def _reduced_laplacian_determinant(adj) -> int:
                     if z != dropped:
                         _add_pair(row, z, -1, length)
     if reached != len(adj):
-        raise ArithmeticError("a cycle component misses the dropped vertex: the minor is singular")
+        raise DisconnectedGraphError("disconnected: a cycle component misses the dropped vertex")
     heap = [(len(row), v) for v, row in rows.items()]
     heapify(heap)
     num = den = 1
@@ -135,9 +142,11 @@ def _reduced_laplacian_determinant(adj) -> int:
             continue
         del rows[v]
         pn, pd = row.pop(v)
-        # the reduced Laplacian of a connected graph is positive definite
+        # zero only on a disconnected graph, and never negative
         if pn <= 0:
-            raise ArithmeticError(f"non-positive pivot {pn}/{pd} at vertex {v}")
+            if pn == 0:
+                raise DisconnectedGraphError(f"disconnected: zero pivot at vertex {v}")
+            raise ArithmeticError(f"negative pivot {pn}/{pd} at vertex {v}")
         num *= pn
         den *= pd
         for w, (an, ad) in row.items():
@@ -180,12 +189,10 @@ def check_oracle_cap(vertex_count: int) -> None:
 def tau_oracle(g: Graph) -> int:
     """Exact spanning-tree count via the matrix-tree theorem.
 
-    The vertex cap (:func:`check_oracle_cap`) is checked first, before the
-    connectivity scan.
+    The vertex cap (:func:`check_oracle_cap`) is checked first; the
+    elimination itself refuses a disconnected graph.
     """
     check_oracle_cap(g.vertex_count)
-    if not g.is_connected():
-        raise DisconnectedGraphError("spanning trees are only counted for connected graphs")
     return _reduced_laplacian_determinant(dict(enumerate(g.adjacency)))
 
 

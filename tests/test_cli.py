@@ -459,6 +459,39 @@ class TestSurface:
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
+class TestPositionalOrOption:
+    """A value given both positionally and as an option must agree."""
+
+    @pytest.mark.parametrize("argv", [
+        "count cycle 3 2 1 --family wheel",
+        "count cycle 3 2 1 --n 4",
+        "count cycle 3 2 1 -m 3",
+        "count cycle 3 2 1 --stage 0",
+        "invariants entropy cycle 3 2 0 --stage 1",
+        "invariants entropy cycle 3 2 --n 5",
+        "surface cycle 3..4 2..2 --n-range 5..5",
+        "surface cycle 3..4 2..2 --m-range 2..3",
+        "surface cycle 3..4 2..2 --family wheel",
+    ])
+    def test_different_values_exit_2(self, argv):
+        r = run_cli(*argv.split())
+        assert_clean_error(r, 2)
+        assert len(r.stderr.splitlines()) == 1
+        assert "given twice" in r.stderr
+        assert r.stdout == ""
+
+    @pytest.mark.parametrize("positional, options", [
+        ("count cycle 3 2 1", "--family cycle -n 3 --m 2 --stage 1"),
+        ("invariants entropy cycle 3 2 0", "--family cycle --n 3 -m 2 -i 0"),
+        ("surface cycle 3..4 2..2", "--family cycle --n-range 3..4 --m-range 2..2"),
+    ])
+    def test_equal_values_are_accepted(self, positional, options):
+        alone = run_cli(*positional.split())
+        r = run_cli(*positional.split(), *options.split())
+        assert alone.returncode == r.returncode == 0
+        assert r.stdout == alone.stdout
+
+
 class TestRecurrenceCaps:
     @pytest.mark.parametrize("args, message", [
         ("count wheel 64 64 1000000 --method formula",

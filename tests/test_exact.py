@@ -151,6 +151,15 @@ class TestFactoredCountAlgebra:
             with pytest.raises(ValueError):
                 FactoredCount(factors)
 
+    def test_repeated_pairs_merge(self):
+        assert FactoredCount([(2, 3), (2, 4)]).factors == {2: 7}
+        assert factored_expand(FactoredCount([(2, 3), (3, 1), (2, 4)])) == 2**7 * 3
+
+    def test_bad_base_in_pairs_rejected(self):
+        for pairs in ([(2, 3), (1, 3)], [(True, 3)], [(2, 3), (2, -1)]):
+            with pytest.raises(ValueError):
+                FactoredCount(pairs)
+
     def test_equality_across_presentations(self):
         assert FactoredCount({45: 6, 2: 4}) == FactoredCount({3: 12, 5: 6, 2: 4})
         assert FactoredCount({4: 3}) == FactoredCount({2: 6})

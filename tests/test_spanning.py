@@ -2,6 +2,7 @@ import functools
 import gc
 import heapq
 import math
+import random
 from itertools import accumulate
 
 import pytest
@@ -73,10 +74,41 @@ class TestTauOracle:
     def test_tiny_graphs(self):
         assert tau_oracle(plain_graph(2, [(0, 1)])) == 1
         assert tau_oracle(plain_graph(1, [])) == 1
+        assert tau_oracle(plain_graph(0, [])) == 1
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             tau_oracle(plain_graph(4, [(0, 1), (2, 3)]))
+
+    # a component of degree-2 vertices away from vertex 0 fails the reach
+    # count; any other component ends in a zero pivot
+    @pytest.mark.parametrize("n,edges,where", [
+        (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], "cycle component"),
+        (4, [(0, 1), (1, 2), (0, 2)], "zero pivot"),
+        (5, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)], "zero pivot"),
+        (9, [(k, (k + 1) % 4) for k in range(4)] + [(4 + k, 4 + (k + 1) % 5) for k in range(5)],
+         "cycle component"),
+    ], ids=["two-triangles", "triangle-and-isolated-vertex", "isolated-0-and-K4", "two-bare-cycles"])
+    def test_disconnected_by_either_exit(self, n, edges, where):
+        with pytest.raises(DisconnectedGraphError, match=where):
+            tau_oracle(plain_graph(n, edges))
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_disconnected_unions(self, seed):
+        # 2-3 connected parts, some subdivided, maybe an isolated vertex, ids shuffled
+        rng = random.Random(seed)
+        edges, n = [], 0
+        for _ in range(rng.randint(2, 3)):
+            part = random_connected_graph(rng, max_n=8)
+            if rng.random() < 1 / 3:
+                part = ept(part, rng.randint(2, 3))
+            edges += [(u + n, v + n) for u, v in part.edges()]
+            n += part.vertex_count
+        n += rng.random() < 1 / 5
+        ids = rng.sample(range(n), n)
+        with pytest.raises(DisconnectedGraphError):
+            tau_oracle(plain_graph(n, [(ids[u], ids[v]) for u, v in edges]))
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
@@ -186,10 +218,10 @@ class TestSparseKernel:
 
     def test_singular_minor_raises(self):
         # two components: the minor is singular, so a zero pivot appears
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(DisconnectedGraphError):
             _reduced_laplacian_determinant({0: [1], 1: [0], 2: [3], 3: [2]})
         # the second component is a bare cycle, so no chain reaches it
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(DisconnectedGraphError):
             _reduced_laplacian_determinant({0: [1], 1: [0], 2: [3, 4], 3: [2, 4], 4: [2, 3]})
 
     @pytest.mark.parametrize(

@@ -51,6 +51,10 @@ def test_unknown_level_raises():
         verify_suite("fast")
 
 
+def test_naive_determinant_of_the_empty_matrix():
+    assert verify.naive_determinant([]) == 1
+
+
 def test_random_connected_graph_pinned():
     # the draws' edge lists, pinned: a change in the order the generator
     # uses its RNG shows here, not only through the report digest
