@@ -2,7 +2,11 @@
 
 The direct scan over a built graph is the authoritative value; the
 closed-form predictions are evaluated verbatim with exact rationals so
-any disagreement is an exact fraction, never float noise.
+any disagreement is an exact fraction, never float noise.  The scan
+counts the links among a vertex's neighbours with one tuple lookup for
+a degree-2 vertex, one set probe for each degree-2 neighbour of a
+higher-degree vertex, and a set intersection for every other neighbour
+(see :func:`_link_counts`).
 """
 
 from __future__ import annotations
@@ -18,7 +22,17 @@ from .sequences import size_sequences
 
 
 def _link_counts(adj, vertices):
-    """Yield the number of edges among the neighbours of each vertex in turn."""
+    """Yield the number of edges among the neighbours of each vertex in turn.
+
+    A vertex v of degree >= 3 sums, over its neighbours w, how many of
+    w's neighbours are also v's; each link is seen from both its ends.
+    A degree-2 neighbour w has N(w) = {v, x}, and a simple graph has no
+    loop (v is not in N(v)), so its share is exactly [x in N(v)]: one
+    probe of v's set for w's other end, where an intersection would
+    build a new set.  Any other neighbour keeps the intersection, which
+    probes v's set once per entry of w's tuple in C; a Python loop over
+    a hub's tuple would be slower.
+    """
     for v in vertices:
         nb = adj[v]
         if len(nb) == 2:  # most vertices: path interiors and fresh rims
@@ -30,7 +44,11 @@ def _link_counts(adj, vertices):
             members = set(nb)
             links = 0
             for w in nb:
-                links += len(members.intersection(adj[w]))
+                other = adj[w]
+                if len(other) == 2:
+                    links += (other[1] if other[0] == v else other[0]) in members
+                else:
+                    links += len(members.intersection(other))
             yield links // 2
 
 

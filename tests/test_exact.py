@@ -12,6 +12,7 @@ from fractree.errors import OverflowCapError
 from fractree.exact import (
     DEFAULT_EXPAND_BIT_CAP,
     FactoredCount,
+    _atom_exponents,
     bareiss_determinant,
     decimal_str,
     factored_expand,
@@ -213,6 +214,37 @@ class TestFactoredCountAlgebra:
     def test_equality_agrees_with_expansion(self, fa, fb):
         a, b = FactoredCount(fa), FactoredCount(fb)
         assert (a == b) == (factored_expand(a) == factored_expand(b))
+
+
+class TestFactoredCountGuards:
+    def test_immutable(self):
+        count = FactoredCount({2: 1})
+        for name in ("_factors", "other"):
+            with pytest.raises(AttributeError):
+                setattr(count, name, ())
+        assert count.factors == {2: 1}
+
+    def test_only_factored_counts_multiply(self):
+        with pytest.raises(TypeError):
+            FactoredCount({2: 1}) * 3
+        with pytest.raises(TypeError):
+            3 * FactoredCount({2: 1})
+
+    def test_equal_only_to_factored_counts(self):
+        assert (FactoredCount({2: 1}) == 2) is False
+        assert FactoredCount({2: 1}) != 2
+
+    def test_repr(self):
+        assert repr(FactoredCount({})) == "FactoredCount({})"
+        c = FactoredCount({45: 6, 2: 4})
+        assert repr(c) == "FactoredCount({2: 4, 45: 6})"
+        assert eval(repr(c), {"FactoredCount": FactoredCount}) == c
+
+    def test_base_off_the_atoms_raises(self):
+        # 6 = 2 * 3, and 3 is not among the atoms
+        assert _atom_exponents([(4, 2)], [2]) == {2: 4}
+        with pytest.raises(ArithmeticError, match="did not factor"):
+            _atom_exponents([(6, 1)], [2])
 
 
 class TestBareiss:

@@ -1,4 +1,6 @@
 import math
+import operator
+import pickle
 import time
 from fractions import Fraction
 
@@ -202,6 +204,49 @@ class TestQuadraticNumber:
         assert Fraction(3, 2) / x == (x - 1) * Fraction(3, 2)
         with pytest.raises(TypeError):
             1.0 / x
+
+
+class TestQuadraticNumberGuards:
+    X = QuadraticNumber(Fraction(1, 2), Fraction(1, 2), 5)  # golden ratio
+
+    def test_float_coordinate_rejected(self):
+        for p, q in ((1.5, 0), (0, 0.5)):
+            with pytest.raises(TypeError, match="int or Fraction"):
+                QuadraticNumber(p, q, 5)
+
+    def test_attributes_cannot_be_deleted(self):
+        for name in ("p", "_key"):
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(self.X, name)
+        assert _coords(self.X) == (Fraction(1, 2), Fraction(1, 2))
+
+    def test_pickle_round_trip(self):
+        for x in (self.X, QuadraticNumber(Fraction(3, 5), Fraction(-2), 49)):
+            assert pickle.loads(pickle.dumps(x)) == x
+
+    def test_equal_only_to_quadratic_numbers(self):
+        assert (QuadraticNumber(Fraction(3, 2), 0, 5) == 1.5) is False
+        assert (self.X == "x") is False
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    def test_str_operand_rejected(self, op):
+        with pytest.raises(TypeError):
+            op(self.X, "1")
+        with pytest.raises(TypeError):
+            op("1", self.X)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            self.X ** -1
+
+    def test_as_exact_int_of_a_fraction(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            QuadraticNumber(Fraction(1, 2), 0, 5).as_exact_int()
+
+    def test_repr_evaluates_back(self):
+        for x in (self.X, QuadraticNumber(-3, Fraction(2, 7), 13), QuadraticNumber(2, 3, 4)):
+            assert eval(repr(x), {"QuadraticNumber": QuadraticNumber, "Fraction": Fraction}) == x
 
 
 SMALL = st.fractions(min_value=-20, max_value=20, max_denominator=12)
