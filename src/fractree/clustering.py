@@ -3,10 +3,11 @@
 The direct scan over a built graph is the authoritative value; the
 closed-form predictions are evaluated verbatim with exact rationals so
 any disagreement is an exact fraction, never float noise.  The scan
-counts the links among a vertex's neighbours with one tuple lookup for
-a degree-2 vertex, one set probe for each degree-2 neighbour of a
-higher-degree vertex, and a set intersection for every other neighbour
-(see :func:`_link_counts`).
+tallies every vertex by (links among its neighbours, degree) in one
+loop: a degree-2 vertex costs one tuple lookup and one of two counters,
+closed or open; a vertex of any other degree costs one set probe for
+each degree-2 neighbour and a set intersection for every other
+neighbour (see :func:`_link_classes`).
 """
 
 from __future__ import annotations
@@ -21,35 +22,46 @@ from .params import Family, FractalParams
 from .sequences import size_sequences
 
 
-def _link_counts(adj, vertices):
-    """Yield the number of edges among the neighbours of each vertex in turn.
+def _link_classes(adj) -> dict:
+    """Count the vertices by (links among their neighbours, degree).
 
-    A vertex v of degree >= 3 sums, over its neighbours w, how many of
-    w's neighbours are also v's; each link is seen from both its ends.
-    A degree-2 neighbour w has N(w) = {v, x}, and a simple graph has no
-    loop (v is not in N(v)), so its share is exactly [x in N(v)]: one
-    probe of v's set for w's other end, where an intersection would
-    build a new set.  Any other neighbour keeps the intersection, which
-    probes v's set once per entry of w's tuple in C; a Python loop over
-    a hub's tuple would be slower.
+    One loop visits every vertex.  A degree-2 vertex with ends a and b
+    has one link if b is in N(a), else none: it adds 1 to the closed or
+    the open count, which enter as the classes (1, 2) and (0, 2) only
+    when nonzero, so no class has a zero count.  A vertex v of any other
+    degree sums, over its neighbours w, how many of w's neighbours are
+    also v's; each link is seen from both its ends.  A degree-2
+    neighbour w has N(w) = {v, x}, and a simple graph has no loop (v is
+    not in N(v)), so its share is exactly [x in N(v)]: one probe of v's
+    set, where an intersection would build a new set.  Any other
+    neighbour keeps the intersection, which probes v's set in C once
+    per entry of w's tuple; a Python loop over a hub's tuple would be
+    slower.  With no loop, a vertex of degree 0 or 1 finds no link and
+    counts as (0, k).
     """
-    for v in vertices:
-        nb = adj[v]
+    classes = {}
+    closed = opened = 0
+    for v, nb in enumerate(adj):
         if len(nb) == 2:  # most vertices: path interiors and fresh rims
             a, b = nb
-            yield 1 if b in adj[a] else 0
-        elif len(nb) < 2:
-            yield 0
-        else:
-            members = set(nb)
-            links = 0
-            for w in nb:
-                other = adj[w]
-                if len(other) == 2:
-                    links += (other[1] if other[0] == v else other[0]) in members
-                else:
-                    links += len(members.intersection(other))
-            yield links // 2
+            if b in adj[a]:
+                closed += 1
+            else:
+                opened += 1
+            continue
+        members = set(nb)
+        links = 0
+        for w in nb:
+            other = adj[w]
+            if len(other) == 2:
+                links += (other[1] if other[0] == v else other[0]) in members
+            else:
+                links += len(members.intersection(other))
+        key = (links // 2, len(nb))
+        classes[key] = classes.get(key, 0) + 1
+    classes[1, 2] = closed
+    classes[0, 2] = opened
+    return {key: c for key, c in classes.items() if c}
 
 
 def _coefficient(links: int, k: int) -> Fraction:
@@ -84,10 +96,8 @@ def average_clustering(g: Graph) -> ClusteringReport:
     Vertices are tallied by (links, degree) first, so one ``Fraction`` is
     made per distinct pair rather than per vertex.
     """
-    adj = g.adjacency
-    pairs = Counter(zip(_link_counts(adj, range(len(adj))), map(len, adj)))
     counts = Counter()
-    for (links, k), c in pairs.items():
+    for (links, k), c in _link_classes(g.adjacency).items():
         counts[_coefficient(links, k)] += c
     total = sum((c * k for c, k in counts.items()), Fraction(0))
     avg = total / g.vertex_count if g.vertex_count else Fraction(0)
