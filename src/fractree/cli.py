@@ -333,9 +333,13 @@ def _cmd_surface(args) -> int:
     m_range = _parse_range(m_text, 2, 64, "m")
     rows = sequences.entropy_surface_rows(family, n_range, m_range)
     out = ["family,n,m,sigma_offset,sigma_same,sigma_closed"]
+    name = family.value
+    # "%.10g" % x is _fmt10(x), byte for byte
     for n, m, offset, same, closed in rows:
-        closed_text = _fmt10(closed) if closed is not None else ""
-        out.append(f"{family.value},{n},{m},{_fmt10(offset)},{_fmt10(same)},{closed_text}")
+        if closed is None:
+            out.append("%s,%d,%d,%.10g,%.10g," % (name, n, m, offset, same))
+        else:
+            out.append("%s,%d,%d,%.10g,%.10g,%.10g" % (name, n, m, offset, same, closed))
     _emit(["\n".join(out) + "\n"], args.out)
     return EXIT_OK
 

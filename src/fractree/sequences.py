@@ -18,21 +18,24 @@ ln tau(G^(k)) = S1(k)*ln(base) + mult*S2(k)*ln(m), where
 estimate, gives one base copy's tree count (n, or L_2n - 2 for a wheel,
 from the Lucas numbers kept here) and its cycle rank (1 or n).  The
 exponents S1(k) = sum of u_j and S2(k) = sum of (k-j)*u_j over j <= k
-have two exact routes.  :func:`_exponent_sums_of` is the one path of
-every caller (``tau_closed``, the entropy estimates and the surface, each
-with the coefficients below): it sums the recurrence in closed form on
-plain ints.  :func:`_exponent_sums` keeps running sums over
+have two exact routes.  :func:`_exponent_sums_of` is the one batched
+core of every caller: it decodes the bits of k once, and for each
+(a, b, u_1) triple it takes u_{k-1} and u_k from one index-doubling walk
+(O(log k) integer products) and sums the recurrence in closed form on
+plain ints.  ``tau_closed``, the entropy estimates and
+:func:`vertex_count` pass it one triple; the surface passes it a whole
+row n, one triple per m.  :func:`_exponent_sums` keeps running sums over
 :func:`size_sequences`, the reference that ``verify`` and the tests
 compare against.
 
 The coefficients (a, b, u_1) of the recurrence, with u_0 = 1, are stated
-once, in :func:`_recurrence_coefficients`; u_{k-1} and u_k come from one
-index-doubling walk (O(log k) integer products) by one identity,
-:func:`_vertex_pair`, for :func:`vertex_count` and the exponent sums.  The explicit
-entropy formulas are stated once too, as their terms in n alone
-(:func:`_entropy_closed_n_terms`) and the rest
+once, per row in :func:`_recurrence_row`, whose one-m case is
+:func:`_recurrence_coefficients`.  The explicit entropy formulas are
+stated once too, as their domain (:func:`_entropy_closed_m_bound`), their
+terms in n alone (:func:`_entropy_closed_n_terms`) and the rest
 (:func:`_entropy_closed_floats`); :func:`entropy_closed` composes the
-two, and the surface takes the n-terms once per row.
+three, and the surface takes the domain and the n-terms once per row, so
+a cell outside the domain is never evaluated.
 """
 
 from __future__ import annotations
@@ -280,12 +283,17 @@ def size_sequences(params: FractalParams, upto: int) -> SizeSequences:
     return SizeSequences(tuple(u), tuple(e))
 
 
-def _recurrence_coefficients(family: Family, n: int, m: int) -> tuple:
+def _recurrence_row(family: Family, n: int, m_values) -> list:
     """(a, b, u_1) of the decoupled vertex recurrence
-    u_j = a*u_{j-1} + b*u_{j-2}, with u_0 = 1."""
+    u_j = a*u_{j-1} + b*u_{j-2}, with u_0 = 1, for each m of one row n."""
     if family is Family.CYCLE:
-        return n + m, -n, n
-    return n + m + 1, m * n - m - 2 * n, n + 1
+        return [(n + m, -n, n) for m in m_values]
+    return [(n + m + 1, m * n - m - 2 * n, n + 1) for m in m_values]
+
+
+def _recurrence_coefficients(family: Family, n: int, m: int) -> tuple:
+    """(a, b, u_1) of one (n, m): the one-m case of :func:`_recurrence_row`."""
+    return _recurrence_row(family, n, (m,))[0]
 
 
 @dataclass(frozen=True)
@@ -356,35 +364,30 @@ def _exponent_sums(params: FractalParams, upto: int):
         yield s1, s2, u[k], u[k + 1]
 
 
-def _fundamental_pair(a: int, b: int, k: int) -> tuple:
+def _fundamental_pair(a: int, b: int, schedule: tuple) -> tuple:
     """(U_{k-1}, U_k) for k >= 1, where U_0 = 0, U_1 = 1 and
-    U_j = a*U_{j-1} + b*U_{j-2}, by index doubling on the bits of k.
+    U_j = a*U_{j-1} + b*U_{j-2}, by index doubling: ``schedule`` holds one
+    step per bit of k after the leading one, True where that bit is set.
 
     Doubling maps (U_{j-1}, U_j) to (U_{2j-1}, U_{2j}) =
     (U_j^2 + b*U_{j-1}^2, U_j*(a*U_j + 2b*U_{j-1})); a set bit then takes
     one plain step.  Nothing divides, so b = 0 needs no special case.
     """
     before, u = 0, 1
-    for bit in bin(k)[3:]:
+    for step in schedule:
         before, u = u * u + b * before * before, u * (a * u + 2 * b * before)
-        if bit == "1":
+        if step:
             before, u = u, a * u + b * before
     return before, u
 
 
-def _vertex_pair(a: int, b: int, u1: int, k: int) -> tuple:
-    """(u_{k-1}, u_k) for k >= 1 of u_j = a*u_{j-1} + b*u_{j-2} with
-    u_0 = 1, from one walk of :func:`_fundamental_pair`:
-    u_{k-1} = (u_1 - a)*U_{k-1} + U_k and u_k = u_1*U_k + b*U_{k-1}."""
-    fundamental_before, fundamental = _fundamental_pair(a, b, k)
-    return (u1 - a) * fundamental_before + fundamental, u1 * fundamental + b * fundamental_before
-
-
 def vertex_count(params: FractalParams, j: int) -> int:
-    """u_j (the stage-(j-1) graph's vertex count) in O(log j) products."""
+    """u_j (the stage-(j-1) graph's vertex count) in O(log j) products:
+    the u_k of the last step that :func:`_exponent_sums_of` yields."""
     if j < 0:
         raise BadParameterError("index must be >= 0")
-    return _vertex_pair(*_recurrence_coefficients(params.family, params.n, params.m), j + 1)[0]
+    (steps,) = _exponent_sums_of(_recurrence_row(params.family, params.n, (params.m,)), j)
+    return steps[-1][2]
 
 
 # the largest vertex count a recurrence may be stepped to, in bits
@@ -419,15 +422,18 @@ def check_steps(params: FractalParams, k: int, what: str) -> None:
               f"{what} would step vertex counts to")
 
 
-def _exponent_sums_of(a: int, b: int, u1: int, upto: int) -> tuple:
-    """The last two (S1(k), S2(k), u_k, u_{k+1}) steps for k = ``upto`` >= 0
-    (one if it is 0) of u_j = a*u_{j-1} + b*u_{j-2} with u_0 = 1, in
-    closed form from three consecutive vertex counts.
+def _exponent_sums_of(coefficients, upto: int):
+    """For each (a, b, u_1) of ``coefficients``, yield the last two
+    (S1(k), S2(k), u_k, u_{k+1}) steps for k = ``upto`` >= 0 (one if it is
+    0) of u_j = a*u_{j-1} + b*u_{j-2} with u_0 = 1, in closed form from
+    three consecutive vertex counts.
 
-    u_{k-1} and u_k come from :func:`_vertex_pair`, and
-    u_{k+1} = a*u_k + b*u_{k-1}.  Summing the recurrence over j = 2..k
-    gives, with D = 1 - a - b (1 - m or n*(1 - m) for the two families,
-    never 0) and C = 1 + u_1 - a:
+    The bits of k are decoded once for all the triples.  Each triple walks
+    them in :func:`_fundamental_pair`, and its vertex counts follow by
+    one identity: u_{k-1} = (u_1 - a)*U_{k-1} + U_k,
+    u_k = u_1*U_k + b*U_{k-1} and u_{k+1} = a*u_k + b*u_{k-1}.  Summing
+    the recurrence over j = 2..k gives, with D = 1 - a - b (1 - m or
+    n*(1 - m) for the two families, never 0) and C = 1 + u_1 - a:
 
         D*S1(k) = C - (a+b)*u_k - b*u_{k-1}
         D*S2(k) = k*C - (a+b)*S1(k-1) - b*S1(k-2) - (u_1 - a)
@@ -438,16 +444,21 @@ def _exponent_sums_of(a: int, b: int, u1: int, upto: int) -> tuple:
     with n = m = 3.
     """
     if upto == 0:
-        return ((1, 0, 1, u1),)
-    before, u = _vertex_pair(a, b, u1, upto)
-    d, c = 1 - a - b, 1 + u1 - a
-    s1, r1 = divmod(c - (a + b) * u - b * before, d)
-    s1_prev = s1 - u
-    s2, r2 = divmod(upto * c - (a + b) * s1_prev - b * (s1_prev - before) - (u1 - a), d)
-    if r1 or r2:
-        raise ArithmeticError(f"exponent sums of a={a}, b={b}, u1={u1} at k={upto} "
-                              "are not integers")
-    return (s1_prev, s2 - s1_prev, before, u), (s1, s2, u, a * u + b * before)
+        for _, _, u1 in coefficients:
+            yield ((1, 0, 1, u1),)
+        return
+    schedule = tuple(bit == "1" for bit in bin(upto)[3:])
+    for a, b, u1 in coefficients:
+        f_before, f = _fundamental_pair(a, b, schedule)
+        before, u = (u1 - a) * f_before + f, u1 * f + b * f_before
+        d, c = 1 - a - b, 1 + u1 - a
+        s1, r1 = divmod(c - (a + b) * u - b * before, d)
+        s1_prev = s1 - u
+        s2, r2 = divmod(upto * c - (a + b) * s1_prev - b * (s1_prev - before) - (u1 - a), d)
+        if r1 or r2:
+            raise ArithmeticError(f"exponent sums of a={a}, b={b}, u1={u1} at k={upto} "
+                                  "are not integers")
+        yield (s1_prev, s2 - s1_prev, before, u), (s1, s2, u, a * u + b * before)
 
 
 @dataclass(frozen=True)
@@ -477,8 +488,8 @@ def entropy_estimates(params: FractalParams, iters: int = DEFAULT_ENTROPY_ITERS)
         raise BadParameterError("iters must be >= 2")
     base_count, mult = _tau_terms(params.family, params.n)
     terms = (math.log(base_count), mult, math.log(params.m))
-    previous, last = _exponent_sums_of(
-        *_recurrence_coefficients(params.family, params.n, params.m), iters)
+    ((previous, last),) = _exponent_sums_of(
+        _recurrence_row(params.family, params.n, (params.m,)), iters)
     offset, same = _estimates(last, *terms)
     offset_before, same_before = _estimates(previous, *terms)
     return (EntropyEstimate(offset, offset - offset_before),
@@ -503,12 +514,20 @@ def entropy_closed(params: FractalParams) -> float:
     (:func:`_entropy_closed_floats`).
     """
     family, n, m = params.family, params.n, params.m
+    if not m < _entropy_closed_m_bound(family, n):
+        raise DomainViolationError(f"cycle entropy formula needs n > m, got n={n}, m={m}")
     try:
         return _entropy_closed_floats(family, n, m, _entropy_closed_n_terms(family, n))
     except ArithmeticError:
         raise DomainViolationError(
             f"entropy formula at n={n}, m={m} passes float range"
         ) from None
+
+
+def _entropy_closed_m_bound(family: Family, n: int) -> float:
+    """The formulas' domain is m below this: n for the cycle (stated only
+    for n > m), every m for the wheel."""
+    return n if family is Family.CYCLE else math.inf
 
 
 def _entropy_closed_n_terms(family: Family, n: int) -> tuple:
@@ -523,8 +542,6 @@ def _entropy_closed_n_terms(family: Family, n: int) -> tuple:
 
 def _entropy_closed_floats(family: Family, n: int, m: int, n_terms: tuple) -> float:
     if family is Family.CYCLE:
-        if not n > m:
-            raise DomainViolationError(f"cycle entropy formula needs n > m, got n={n}, m={m}")
         (log_n,) = n_terms
         phi = math.sqrt(-4 * n + (m + n) ** 2)
         a1, a2 = m - n, m + n
@@ -557,32 +574,32 @@ def entropy_surface_rows(family: Family, n_range, m_range) -> list:
     Each value equals :func:`entropy_estimates` at its default depth, and
     :func:`entropy_closed`, bit for bit; closed is None where that raises
     :class:`DomainViolationError`.  Once per row n it takes the base log,
-    ``mult`` and the closed form's n-terms.  Once per (n, m) cell it works
-    on plain ints: the recurrence coefficients, one index-doubling walk
-    with the closed-form exponent sums, the two ratios, and the cell part
-    of the closed form.  Each n and each m is checked by
-    :class:`FractalParams` once, not once per cell.
+    ``mult``, the closed form's n-terms and its domain, and one pass of
+    :func:`_exponent_sums_of` over the (a, b, u_1) of every m.  Once per
+    (n, m) cell it works on plain ints and floats: the two ratios, and the
+    cell part of the closed form where (n, m) is in its domain.  Each n and
+    each m is checked by :class:`FractalParams` once, not once per cell.
     """
     m_values = [FractalParams(family, 3, m).m for m in m_range]  # checks each m
+    log_ms = [math.log(m) for m in m_values]
     rows = []
     for n in n_range:
         FractalParams(family, n, 2)  # checks n
         base_count, mult = _tau_terms(family, n)
         log_base = math.log(base_count)
+        m_bound = _entropy_closed_m_bound(family, n)
         try:
             n_terms = _entropy_closed_n_terms(family, n)
         except ArithmeticError:
-            n_terms = None  # the formula passes float range at every m
-        for m in m_values:
-            log_m = math.log(m)
-            _, last = _exponent_sums_of(*_recurrence_coefficients(family, n, m),
-                                        DEFAULT_ENTROPY_ITERS)
+            m_bound = 0  # the formula passes float range at every m: none is evaluated
+        sums = _exponent_sums_of(_recurrence_row(family, n, m_values), DEFAULT_ENTROPY_ITERS)
+        for m, log_m, (_, last) in zip(m_values, log_ms, sums):
             offset, same = _estimates(last, log_base, mult, log_m)
             closed = None
-            if n_terms is not None:
+            if m < m_bound:
                 try:
                     closed = _entropy_closed_floats(family, n, m, n_terms)
-                except (ArithmeticError, DomainViolationError):
+                except ArithmeticError:
                     pass
             rows.append((n, m, offset, same, closed))
     return rows

@@ -39,7 +39,7 @@ from .errors import DisconnectedGraphError, SizeCapError
 from .exact import FactoredCount, short_count_str
 from .graph import Graph, block_shapes, chains, edge_adjacency, shape_edges
 from .params import FractalParams
-from .sequences import _exponent_sums_of, _recurrence_coefficients, _tau_terms
+from .sequences import _exponent_sums_of, _recurrence_row, _tau_terms
 
 DEFAULT_ORACLE_MAX_VERTICES = 25_000
 
@@ -53,8 +53,8 @@ def tau_closed(params: FractalParams) -> FactoredCount:
     S2(i) come exactly, in closed form, from three consecutive vertex
     counts (:func:`~fractree.sequences._exponent_sums_of`).
     """
-    *_, (s1, s2, _, _) = _exponent_sums_of(
-        *_recurrence_coefficients(params.family, params.n, params.m), params.i)
+    (steps,) = _exponent_sums_of(_recurrence_row(params.family, params.n, (params.m,)), params.i)
+    s1, s2, _, _ = steps[-1]
     base, mult = _tau_terms(params.family, params.n)
     return FactoredCount({base: s1}) * FactoredCount({params.m: mult * s2})
 

@@ -297,14 +297,16 @@ class TestInvariants:
         passes = []
         original = sequences._exponent_sums_of
 
-        def counted(a, b, u1, upto):
-            passes.append(upto)
-            return original(a, b, u1, upto)
+        def counted(coefficients, upto):
+            coefficients = list(coefficients)
+            passes.append((upto, len(coefficients)))
+            return original(coefficients, upto)
 
         monkeypatch.setattr(sequences, "_exponent_sums_of", counted)
         r = run_cli("invariants", "entropy", "wheel", "4", "3", "--iters", "400")
         assert r.returncode == 0
-        assert passes == [400]
+        # one pass, at depth 400, over the one (a, b, u_1) of wheel-4-3
+        assert passes == [(400, 1)]
 
     def test_entropy_iters_flag(self):
         r = run_cli("invariants", "entropy", "wheel", "4", "2", "--iters", "30")
@@ -315,6 +317,8 @@ class TestInvariants:
         r = run_cli("invariants", "entropy", "cycle", "3", "3")
         assert r.returncode == 0
         assert "not applicable" in r.stdout
+        assert r.stdout.splitlines()[-1] == (
+            "closed-form: not applicable (cycle entropy formula needs n > m, got n=3, m=3)")
 
     def test_census_m3(self):
         r = run_cli("invariants", "census", "cycle", "3", "3", "--stage", "2")

@@ -84,8 +84,10 @@ class TestSizeSequences:
 
 
 def _closed(p, k):
-    """The closed-form exponent sums of ``p`` at k, as every caller reaches them."""
-    return _exponent_sums_of(*_recurrence_coefficients(p.family, p.n, p.m), k)
+    """The closed-form exponent sums of ``p`` at k, as the one-cell callers
+    reach them: one pass over a single (a, b, u_1) triple."""
+    (steps,) = _exponent_sums_of([_recurrence_coefficients(p.family, p.n, p.m)], k)
+    return steps
 
 
 class TestExponentSums:
@@ -136,9 +138,27 @@ class TestExponentSums:
         # sum of u_j), so feed the core a wrong pair: (1, 1) is no
         # (U_{k-1}, U_k) of wheel-4-3 (a = 8, b = 1, u_1 = 5), and D = -8
         # does not divide the first sum it gives
-        monkeypatch.setattr(sequences, "_fundamental_pair", lambda a, b, k: (1, 1))
+        monkeypatch.setattr(sequences, "_fundamental_pair", lambda a, b, schedule: (1, 1))
         with pytest.raises(ArithmeticError, match="a=8, b=1, u1=5 at k=10 are not integers"):
-            _exponent_sums_of(8, 1, 5, 10)
+            list(_exponent_sums_of([(8, 1, 5)], 10))
+
+    @pytest.mark.parametrize("upto", [0, 1, 2, 59, 60])
+    def test_one_pass_over_many_triples(self, upto):
+        # both families, wheel-3-3 (b = 0) among them, in one pass over a
+        # one-shot iterator: the same steps as one pass per triple, and as
+        # the running sums
+        cells = [FractalParams(family, n, m)
+                 for family in Family for n in (3, 4, 9) for m in (2, 3, 7)]
+        triples = [_recurrence_coefficients(p.family, p.n, p.m) for p in cells]
+        assert (7, 0, 4) in triples
+        batched = list(_exponent_sums_of(iter(triples), upto))
+        assert batched == [_closed(p, upto) for p in cells]
+        for p, steps in zip(cells, batched):
+            assert steps == tuple(list(_exponent_sums(p, upto))[max(upto - 1, 0):])
+
+    @pytest.mark.parametrize("upto", [0, 1, 60])
+    def test_no_triples_yield_nothing(self, upto):
+        assert list(_exponent_sums_of([], upto)) == []
 
 
 class TestQuadraticNumber:
@@ -441,7 +461,9 @@ class TestEntropyBitExact:
 
     @pytest.mark.parametrize("family", list(Family))
     def test_surface_matches_one_cell_functions(self, family):
-        # the surface has its own loop; every cell of the CLI's domain
+        # the surface takes one pass of the exponent sums per row, and decides
+        # the closed form's domain before evaluating it; every cell of the
+        # CLI's domain
         rows = entropy_surface_rows(family, range(3, 65), range(2, 65))
         assert [r[:2] for r in rows] == [(n, m) for n in range(3, 65) for m in range(2, 65)]
         for n, m, offset, same, closed in rows:
@@ -503,8 +525,9 @@ class TestEntropy:
         )
 
     def test_cycle_domain_violation(self):
-        with pytest.raises(DomainViolationError):
+        with pytest.raises(DomainViolationError) as info:
             entropy_closed(FractalParams(Family.CYCLE, 3, 3))
+        assert str(info.value) == "cycle entropy formula needs n > m, got n=3, m=3"
         with pytest.raises(DomainViolationError):
             entropy_closed(FractalParams(Family.CYCLE, 3, 4))
 
