@@ -190,7 +190,9 @@ def blocks(g: Graph) -> list:
         pairs = tuple(_block_edges(g._adj, head, members))
         edges = tuple(sorted((ids[a], ids[b]) if ids[a] < ids[b] else (ids[b], ids[a])
                              for a, b in pairs))
-        # a block with as many edges as vertices is a cycle, as in block_census
+        # a block with as many edges as vertices is a cycle; block_shapes
+        # tests its members' free edges instead, and the two are checked
+        # against each other
         out.append(Block(tuple(sorted(ids)), edges, ("cycle", len(ids))
                          if len(edges) == len(ids) else classify(pairs)))
     return sorted(out, key=lambda b: b.edges[0])
@@ -270,12 +272,14 @@ def _block_walk(g: Graph) -> Iterator[tuple]:
     inside a chain, and a closed vertex next to an open one is its
     descendant, found after it.  The timer still counts chain vertices, so
     frame times, the ``timer <= n`` connectivity test and the yielded
-    stream are those of a walk that kept every time.  A vertex's low, its
-    place in ``pending`` and the length of the chain that led to it matter
-    only while it is open, so they sit on the path stack beside it, one
-    entry per open vertex, and go as it closes.  Streaming keeps no list
-    of all blocks: a consumer that drops each block before the next holds
-    little besides ``disc``.
+    stream are those of a walk that kept every time.  A vertex's neighbour
+    iterator, its low, its place in ``pending`` and the length of the chain
+    that led to it matter only while it is open, so they live in its
+    frame, ``[vertex, iterator, low, place, chain length]``: one plain list
+    per open vertex, pushed as it opens and popped as it closes.  A plain
+    list, because a class would cost a call per push.  Streaming keeps no
+    list of all blocks: a consumer that drops each block before the next
+    holds little besides ``disc``.
 
     Degree-2 vertices get no frame of their own.  From v, the walk follows
     a chain v - c1 - ... - ck - x of unvisited degree-2 vertices in one
@@ -300,19 +304,16 @@ def _block_walk(g: Graph) -> Iterator[tuple]:
     disc = [0] * n  # discovery time from 1 while open; 0 while unvisited
     mark = n + 1  # every vertex neither open nor unvisited
     pending = []
-    # the open vertices, root first, each with its low, its place in
-    # `pending` and the number of chain vertices just before that place
-    path = [0]
-    iters = [iter(adj[0])]
-    lows = [1]
-    depths = [0]
-    chains = [0]
+    # one frame per open vertex, root first: [vertex, neighbour iterator,
+    # low, place in `pending`, chain vertices just before that place]
+    stack = [[0, iter(adj[0]), 1, 0, 0]]
 
     disc[0] = 1
     timer = 2
-    while path:
-        v = path[-1]
-        for w in iters[-1]:
+    while stack:
+        top = stack[-1]
+        v = top[0]
+        for w in top[1]:
             if not disc[w]:
                 c = 0
                 if len(adj[w]) == 2:
@@ -331,30 +332,23 @@ def _block_walk(g: Graph) -> Iterator[tuple]:
                         if x == v:
                             yield v, pending[start:]
                             del pending[start:]
-                        elif disc[x] < lows[-1]:
-                            lows[-1] = disc[x]
+                        elif disc[x] < top[2]:
+                            top[2] = disc[x]
                         continue
                     w = x
                     c = len(pending) - start
                 disc[w] = timer
-                lows.append(timer)
+                stack.append([w, iter(adj[w]), timer, len(pending), c])
                 timer += 1
-                depths.append(len(pending))
-                chains.append(c)
                 pending.append(w)
-                path.append(w)
-                iters.append(iter(adj[w]))
                 break
-            if disc[w] < lows[-1]:
-                lows[-1] = disc[w]
+            if disc[w] < top[2]:
+                top[2] = disc[w]
         else:
-            path.pop()
-            iters.pop()
-            low = lows.pop()
-            k = depths.pop()
-            c = chains.pop()
-            if path:
-                u = path[-1]
+            _, _, low, k, c = stack.pop()
+            if stack:
+                parent = stack[-1]
+                u = parent[0]
                 if c and low >= disc[v]:
                     # a block headed at ck, then the bridges of u - c1 - ... - ck
                     line = [u, *pending[k - c:k]]
@@ -365,8 +359,8 @@ def _block_walk(g: Graph) -> Iterator[tuple]:
                 elif low >= disc[u]:
                     yield u, pending[k - c:]
                     del pending[k - c:]
-                elif low < lows[-1]:
-                    lows[-1] = low
+                elif low < parent[2]:
+                    parent[2] = low
             disc[v] = mark
     if timer <= n:
         raise DisconnectedGraphError("block decomposition requires a connected graph")

@@ -29,10 +29,10 @@ row n, one triple per m.  :func:`_exponent_sums` keeps running sums over
 compare against.
 
 The coefficients (a, b, u_1) of the recurrence, with u_0 = 1, are stated
-once, per row in :func:`_recurrence_row`, whose one-m case is
-:func:`_recurrence_coefficients`.  The explicit entropy formulas are
-stated once too, as their domain (:func:`_entropy_closed_m_bound`), their
-terms in n alone (:func:`_entropy_closed_n_terms`) and the rest
+once, per row in :func:`_recurrence_row`; a one-m caller passes it the
+one-item row ``(m,)``.  The explicit entropy formulas are stated once
+too, as their domain (:func:`_entropy_closed_m_bound`), their terms in n
+alone (:func:`_entropy_closed_n_terms`) and the rest
 (:func:`_entropy_closed_floats`); :func:`entropy_closed` composes the
 three, and the surface takes the domain and the n-terms once per row, so
 a cell outside the domain is never evaluated.
@@ -291,11 +291,6 @@ def _recurrence_row(family: Family, n: int, m_values) -> list:
     return [(n + m + 1, m * n - m - 2 * n, n + 1) for m in m_values]
 
 
-def _recurrence_coefficients(family: Family, n: int, m: int) -> tuple:
-    """(a, b, u_1) of one (n, m): the one-m case of :func:`_recurrence_row`."""
-    return _recurrence_row(family, n, (m,))[0]
-
-
 @dataclass(frozen=True)
 class RecurrenceSpec:
     """Decoupled second-order recurrence x_j = a*x_{j-1} + b*x_{j-2} of the
@@ -307,7 +302,7 @@ class RecurrenceSpec:
 
     @classmethod
     def for_params(cls, params: FractalParams) -> "RecurrenceSpec":
-        return cls(*_recurrence_coefficients(params.family, params.n, params.m))
+        return cls(*_recurrence_row(params.family, params.n, (params.m,))[0])
 
     @property
     def discriminant(self) -> int:
@@ -411,7 +406,7 @@ def check_cap(count: int, per: float, cap: int, unit: str, what: str) -> None:
 def growth(params: FractalParams, log) -> float:
     """log of the dominant root (a + sqrt(a*a + 4b)) / 2 of the vertex
     recurrence, in floats; 4b / a^2 lies in (-1, 1] even for huge n and m."""
-    a, b, _ = _recurrence_coefficients(params.family, params.n, params.m)
+    a, b, _ = _recurrence_row(params.family, params.n, (params.m,))[0]
     return log(a) + log((1 + math.sqrt(1 + 4 * b / a**2)) / 2)
 
 

@@ -340,6 +340,21 @@ class TestBuild:
         assert sorted(steps) == ["graph._block_walk", "graph.chains"]
         assert sorted(builders) == ["graph.edge_adjacency"]
 
+    def test_two_consumers_of_the_block_walk(self):
+        # every block product and census reads the walk through blocks or
+        # block_shapes; no other function names it, so none iterates it
+        package = Path(construct.__file__).parent
+        readers = set()
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=path.name)
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                        node.id == "_block_walk" if isinstance(node, ast.Name)
+                        else isinstance(node, ast.Attribute) and node.attr == "_block_walk"
+                        for node in ast.walk(fn)):
+                    readers.add(f"{path.stem}.{fn.name}")
+        assert sorted(readers) == ["graph.block_shapes", "graph.blocks"]
+
     def test_every_name_is_used(self):
         # the package keeps only what it runs: each top-level function and
         # class, and each public method, is named somewhere outside its own

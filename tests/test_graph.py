@@ -338,6 +338,24 @@ def test_shape_walk_peak_within_the_graph(p, traced):
     assert peak <= 0.3 * retained
 
 
+def _ladder(k: int) -> Graph:
+    """The k-rung ladder: rails 0..k-1 and k..2k-1, rung r from r to r + k."""
+    rails = [(r, r + 1) for r in range(k - 1)]
+    return plain_graph(2 * k, [*rails, *((u + k, v + k) for u, v in rails),
+                               *((r, r + k) for r in range(k))])
+
+
+def test_walk_peak_on_a_deep_search(traced):
+    # the ladder is one block whose search keeps nearly every vertex open
+    # at once, so the walk's state per open vertex sets its peak: measured
+    # 1.31 of the graph's bytes, a ceiling for any state added per frame
+    g, retained, _ = traced(_ladder, 20000)
+    out, _, peak = traced(lambda g: list(graph._block_walk(g)), g)
+    ((head, members),) = out
+    assert sorted([head, *members]) == list(range(40000))
+    assert peak <= 1.5 * retained
+
+
 def _subdivided(edges, p, longer=None, seed=0) -> Graph:
     """``edges`` with each edge drawn out into a path of p edges (edge
     number ``longer`` into p + 1), its vertex ids shuffled."""

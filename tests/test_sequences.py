@@ -16,7 +16,7 @@ from fractree.sequences import (
     entropy_estimates,
     _exponent_sums,
     _exponent_sums_of,
-    _recurrence_coefficients,
+    _recurrence_row,
     QuadraticNumber,
     RecurrenceSpec,
     binet_vertex,
@@ -86,7 +86,7 @@ class TestSizeSequences:
 def _closed(p, k):
     """The closed-form exponent sums of ``p`` at k, as the one-cell callers
     reach them: one pass over a single (a, b, u_1) triple."""
-    (steps,) = _exponent_sums_of([_recurrence_coefficients(p.family, p.n, p.m)], k)
+    (steps,) = _exponent_sums_of(_recurrence_row(p.family, p.n, (p.m,)), k)
     return steps
 
 
@@ -149,7 +149,7 @@ class TestExponentSums:
         # the running sums
         cells = [FractalParams(family, n, m)
                  for family in Family for n in (3, 4, 9) for m in (2, 3, 7)]
-        triples = [_recurrence_coefficients(p.family, p.n, p.m) for p in cells]
+        triples = [_recurrence_row(p.family, p.n, (p.m,))[0] for p in cells]
         assert (7, 0, 4) in triples
         batched = list(_exponent_sums_of(iter(triples), upto))
         assert batched == [_closed(p, upto) for p in cells]

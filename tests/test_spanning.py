@@ -440,6 +440,9 @@ class TestThreeWayAgreement:
             (Family.WHEEL, 3, 2, 1),
             (Family.WHEEL, 4, 2, 1),
             (Family.WHEEL, 5, 2, 1),
+            # wide hubs: the walk's frames for hubs of degree 40 to 63
+            (Family.WHEEL, 40, 2, 1),
+            (Family.WHEEL, 60, 2, 1),
         ],
     )
     def test_small_grid(self, family, n, m, i):
